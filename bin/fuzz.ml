@@ -3,7 +3,10 @@
    Generates random models (flat chains, Kronecker compositions, free
    matrix diagrams), lumps each one compositionally AND at the state
    level, and cross-checks everything the paper's theorems promise
-   (see Mdl_oracle.Oracle).  Deterministic: one master --seed drives
+   (see Mdl_oracle.Oracle).  Every case also draws a random SAN model
+   and checks symbolic state-space generation, the lumped state space
+   and the closure test against explicit references
+   (Mdl_oracle.Explore_oracle).  Deterministic: one master --seed drives
    the whole run, and every case prints a spec that reproduces it.
 
    Examples:
@@ -16,6 +19,7 @@
 module Prng = Mdl_util.Prng
 module Spec = Mdl_oracle.Spec
 module Oracle = Mdl_oracle.Oracle
+module Explore_oracle = Mdl_oracle.Explore_oracle
 
 let run_fuzz count seed max_levels modes sanity domains verbose =
   (* [--verbose] keeps its per-case outcome printing; the shared logging
@@ -49,6 +53,8 @@ let run_fuzz count seed max_levels modes sanity domains verbose =
   let inject = if sanity then Some 0.5 else None in
   let failures = ref 0 and missed = ref 0 and skipped_inject = ref 0 in
   let checked = ref 0 in
+  let explored = ref 0 and explore_failures = ref 0 in
+  let explore_missed = ref 0 and explore_skipped = ref 0 in
   let family_counts = Hashtbl.create 4 in
   for i = 0 to count - 1 do
     let prng = Prng.fork master i in
@@ -58,6 +64,31 @@ let run_fuzz count seed max_levels modes sanity domains verbose =
     in
     Hashtbl.replace family_counts family
       (1 + Option.value ~default:0 (Hashtbl.find_opt family_counts family));
+    (* A fork, so the SAN draw leaves the lumping case's stream untouched. *)
+    let san_seed = Explore_oracle.draw_seed (Prng.fork prng 1) in
+    let faults =
+      if sanity then [ Some Explore_oracle.Swap_index; Some Explore_oracle.Flip_closure ]
+      else [ None ]
+    in
+    List.iter
+      (fun fault ->
+        let o = Explore_oracle.check ?fault san_seed in
+        incr explored;
+        if verbose then Format.printf "#%d %a@." i Explore_oracle.pp_outcome o;
+        if sanity then begin
+          if not o.Explore_oracle.injected then incr explore_skipped
+          else if o.Explore_oracle.violations = [] then begin
+            incr explore_missed;
+            Format.printf "#%d SANITY MISS: injected exploration fault not caught: %a@." i
+              Explore_oracle.pp_outcome o
+          end
+        end
+        else if o.Explore_oracle.violations <> [] then begin
+          incr explore_failures;
+          Format.printf "#%d %a@.reproduce: --seed %d (case %d)@." i
+            Explore_oracle.pp_outcome o seed i
+        end)
+      faults;
     let pool = pool_for prng in
     let par_threshold = if pool = None then None else Some 1 in
     List.iter
@@ -96,7 +127,11 @@ let run_fuzz count seed max_levels modes sanity domains verbose =
     Printf.printf
       "sanity: %d oracle runs with an injected rate perturbation: %d caught, %d missed, %d not injectable\n"
       !checked (!checked - !missed - !skipped_inject) !missed !skipped_inject;
-    if !missed > 0 then begin
+    Printf.printf
+      "sanity: %d exploration checks with an injected fault: %d caught, %d missed, %d not injectable\n"
+      !explored (!explored - !explore_missed - !explore_skipped) !explore_missed
+      !explore_skipped;
+    if !missed > 0 || !explore_missed > 0 then begin
       print_endline "FAIL: the oracle is blind to injected faults";
       exit 1
     end;
@@ -105,7 +140,8 @@ let run_fuzz count seed max_levels modes sanity domains verbose =
   else begin
     Printf.printf "fuzz: %d models (%s), %d oracle runs, %d violations%s\n" count
       families !checked !failures domains_note;
-    if !failures > 0 then exit 1;
+    Printf.printf "exploration: %d SAN models, %d violations\n" !explored !explore_failures;
+    if !failures > 0 || !explore_failures > 0 then exit 1;
     print_endline "ok: zero oracle violations"
   end
 

@@ -5,6 +5,7 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 module Md = Mdl_md.Md
 module Formal_sum = Mdl_md.Formal_sum
 module Statespace = Mdl_md.Statespace
+module Set_mdd = Mdl_md.Set_mdd
 module Partition = Mdl_partition.Partition
 module Refiner = Mdl_partition.Refiner
 module Trace = Mdl_obs.Trace
@@ -157,34 +158,32 @@ let rebuild_body ?stats ?(incremental = true) ?pool ?(par_threshold = 1024) mode
                   done;
                   rows
           | Mdl_lumping.State_lumping.Exact ->
-              (* Aggregated form: all entries, scaled by 1/|C_row|. *)
+              (* Aggregated form: all entries, scaled by 1/|C_row|,
+                 accumulated sparsely per class pair (a dense [nc * nc]
+                 scratch is tens of MB at paper scale). *)
               fun () ->
-                let acc = Array.make (nc * nc) Formal_sum.empty in
-                let seen = Array.make (nc * nc) false in
+                let acc = Hashtbl.create 64 in
                 fun node ->
-                  let touched = ref [] in
                   Md.rev_iter_node_entries md node (fun r c sum ->
                       let ci = Partition.class_of p r in
                       let w = 1.0 /. float_of_int (Partition.class_size p ci) in
                       let idx = (ci * nc) + Partition.class_of p c in
-                      if not seen.(idx) then begin
-                        seen.(idx) <- true;
-                        touched := idx :: !touched
-                      end;
-                      acc.(idx) <-
-                        Formal_sum.add acc.(idx)
-                          (Formal_sum.scale w (Formal_sum.map_children remap sum)));
+                      let prev = Option.value ~default:Formal_sum.empty (Hashtbl.find_opt acc idx) in
+                      Hashtbl.replace acc idx
+                        (Formal_sum.add prev
+                           (Formal_sum.scale w (Formal_sum.map_children remap sum))));
                   let per_row = Array.make nc [] in
                   (* Descending index order, so each row list conses up
                      ascending. *)
                   List.iter
                     (fun idx ->
-                      let s = acc.(idx) in
-                      acc.(idx) <- Formal_sum.empty;
-                      seen.(idx) <- false;
+                      let s = Hashtbl.find acc idx in
                       if not (Formal_sum.is_empty s) then
                         per_row.(idx / nc) <- ((idx mod nc), s) :: per_row.(idx / nc))
-                    (List.sort (fun a b -> compare (b : int) a) !touched);
+                    (List.sort
+                       (fun a b -> compare (b : int) a)
+                       (Hashtbl.fold (fun idx _ l -> idx :: l) acc []));
+                  Hashtbl.reset acc;
                   Array.map Array.of_list per_row
         in
         let nodes = Array.of_list live.(level - 1) in
@@ -671,19 +670,19 @@ let class_volume r ct =
   Array.iteri (fun i ci -> vol := !vol * Partition.class_size r.partitions.(i) ci) ct;
   !vol
 
-let lump_statespace r ss = Statespace.map ss (class_tuple r)
+let lump_statespace r ss =
+  if Statespace.levels ss <> Array.length r.partitions then
+    invalid_arg "Compositional.class_tuple: tuple length mismatch";
+  Set_mdd.relabel ss (fun l s -> Partition.class_of r.partitions.(l - 1) s)
 
 let is_closed r ss =
-  (* The reachable states of each global class must number exactly the
-     class volume (product of local class sizes). *)
-  let counts = Hashtbl.create (Statespace.size ss) in
-  Statespace.iter
-    (fun _ s ->
-      let ct = class_tuple r s in
-      let n = Option.value ~default:0 (Hashtbl.find_opt counts ct) in
-      Hashtbl.replace counts ct (n + 1))
-    ss;
-  Hashtbl.fold (fun ct n ok -> ok && n = class_volume r ct) counts true
+  (* Each global class of the lumped space holds at most its volume
+     (product of local class sizes) of reachable states, and together
+     they hold all of them, so every class is full iff the volumes add
+     up to |S|. *)
+  Statespace.size ss
+  = Statespace.weighted_size (lump_statespace r ss) (fun l c ->
+        Partition.class_size r.partitions.(l - 1) c)
 
 let check_sizes r ss lumped_ss v fn =
   if Array.length v <> Statespace.size ss then

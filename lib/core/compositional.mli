@@ -224,13 +224,17 @@ val class_volume : result -> int array -> int
     states in the global class with class tuple [ct]. *)
 
 val lump_statespace : result -> Mdl_md.Statespace.t -> Mdl_md.Statespace.t
-(** Image of a reachable state space under {!class_tuple}. *)
+(** Image of a reachable state space under {!class_tuple}: a per-level
+    relabel-and-union of its counted MDD ({!Mdl_md.Set_mdd.relabel}),
+    [O(nodes)] — no state is enumerated. *)
 
 val is_closed : result -> Mdl_md.Statespace.t -> bool
 (** Whether the reachable state space is a union of global equivalence
     classes (every class is fully reachable or fully unreachable).
     Closure is what makes the quotient of the {e reachable} chain
-    well-defined; symmetric models satisfy it by construction. *)
+    well-defined; symmetric models satisfy it by construction.
+    Decided as [|S| = sum over c in lump_statespace of class_volume c],
+    one weighted count on the lumped MDD. *)
 
 val aggregate_vector :
   result -> Mdl_md.Statespace.t -> Mdl_md.Statespace.t -> Mdl_sparse.Vec.t -> Mdl_sparse.Vec.t

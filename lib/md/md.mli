@@ -122,8 +122,6 @@ val rev_iter_node_entries : t -> node_id -> (int -> int -> Formal_sum.t -> unit)
     — the reverse of {!iter_node_entries}; see {!rev_iter_node_row} for
     why the order matters. *)
 
-val node_nnz : t -> node_id -> int
-
 val live_nodes : t -> node_id list array
 (** [live_nodes t].(l-1) is the list of nodes at level [l] reachable from
     the root — the paper's [N_l].  (The store may also hold unreachable

@@ -2,56 +2,22 @@ let check_size ss x fn =
   if Array.length x <> Statespace.size ss then
     invalid_arg (Printf.sprintf "Md_vector.%s: vector size mismatch" fn)
 
-let vec_mul md ss x =
-  check_size ss x "vec_mul";
-  let y = Array.make (Statespace.size ss) 0.0 in
-  Md.iter_entries md (fun ~row ~col v ->
-      match Statespace.index ss row with
-      | None -> ()
-      | Some i -> (
-          if x.(i) <> 0.0 then
-            match Statespace.index ss col with
-            | None -> ()
-            | Some j -> y.(j) <- y.(j) +. (x.(i) *. v)));
-  y
-
-let mul_vec md ss x =
-  check_size ss x "mul_vec";
-  let y = Array.make (Statespace.size ss) 0.0 in
-  Md.iter_entries md (fun ~row ~col v ->
-      match Statespace.index ss row with
-      | None -> ()
-      | Some i -> (
-          match Statespace.index ss col with
-          | None -> ()
-          | Some j -> if x.(j) <> 0.0 then y.(i) <- y.(i) +. (v *. x.(j))));
-  y
-
-let row_sums md ss =
-  let sums = Array.make (Statespace.size ss) 0.0 in
-  Md.iter_entries md (fun ~row ~col:_ v ->
-      match Statespace.index ss row with
-      | None -> ()
-      | Some i -> sums.(i) <- sums.(i) +. v);
-  sums
-
-let check_mdd_size mdd x fn =
-  if Array.length x <> Mdd.count mdd then
-    invalid_arg (Printf.sprintf "Md_vector.%s: vector size mismatch" fn)
-
-(* Co-walk the diagram with row/column MDD cursors, accumulating path
-   offsets; [emit] is called once per terminal path with the final
-   (row index, column index, rate). *)
-let co_walk md mdd emit =
+(* Co-walk the diagram with row/column cursors in the state space's
+   counted MDD, accumulating path offsets; [emit] is called once per
+   terminal path with the final (row index, column index, rate), in the
+   order of [Md.iter_entries]. *)
+let co_walk fn md ss emit =
   let nlevels = Md.levels md in
+  if Statespace.levels ss <> nlevels then
+    invalid_arg (Printf.sprintf "Md_vector.%s: level count mismatch" fn);
   let rec walk id row_node col_node row_off col_off coeff =
     if Md.node_level md id > nlevels then emit row_off col_off coeff
     else
       Md.iter_node_entries md id (fun r c sum ->
-          match Mdd.arc mdd row_node r with
+          match Statespace.arc ss row_node r with
           | None -> ()
           | Some (ro, row_child) -> (
-              match Mdd.arc mdd col_node c with
+              match Statespace.arc ss col_node c with
               | None -> ()
               | Some (co, col_child) ->
                   List.iter
@@ -60,36 +26,34 @@ let co_walk md mdd emit =
                         (coeff *. w))
                     (Formal_sum.terms sum)))
   in
-  walk (Md.root md) (Mdd.root mdd) (Mdd.root mdd) 0 0 1.0
+  walk (Md.root md) (Statespace.root ss) (Statespace.root ss) 0 0 1.0
 
-let vec_mul_mdd md mdd x =
-  check_mdd_size mdd x "vec_mul_mdd";
-  let y = Array.make (Mdd.count mdd) 0.0 in
-  co_walk md mdd (fun i j v -> if x.(i) <> 0.0 then y.(j) <- y.(j) +. (x.(i) *. v));
+let vec_mul md ss x =
+  check_size ss x "vec_mul";
+  let y = Array.make (Statespace.size ss) 0.0 in
+  co_walk "vec_mul" md ss (fun i j v -> if x.(i) <> 0.0 then y.(j) <- y.(j) +. (x.(i) *. v));
   y
 
-let mul_vec_mdd md mdd x =
-  check_mdd_size mdd x "mul_vec_mdd";
-  let y = Array.make (Mdd.count mdd) 0.0 in
-  co_walk md mdd (fun i j v -> if x.(j) <> 0.0 then y.(i) <- y.(i) +. (v *. x.(j)));
+let vec_mul_mdd = vec_mul
+
+let mul_vec md ss x =
+  check_size ss x "mul_vec";
+  let y = Array.make (Statespace.size ss) 0.0 in
+  co_walk "mul_vec" md ss (fun i j v -> if x.(j) <> 0.0 then y.(i) <- y.(i) +. (v *. x.(j)));
   y
 
-let row_sums_mdd md mdd =
-  let sums = Array.make (Mdd.count mdd) 0.0 in
-  co_walk md mdd (fun i _ v -> sums.(i) <- sums.(i) +. v);
+let row_sums md ss =
+  let sums = Array.make (Statespace.size ss) 0.0 in
+  co_walk "row_sums" md ss (fun i _ v -> sums.(i) <- sums.(i) +. v);
   sums
+
+let diag md ss =
+  let d = Array.make (Statespace.size ss) 0.0 in
+  co_walk "diag" md ss (fun i j v -> if i = j then d.(i) <- d.(i) +. v);
+  d
 
 let to_csr md ss =
   let n = Statespace.size ss in
   (* CSR-native: entries stream into the two-pass count-then-fill
-     constructor straight off the diagram walk, no triplet buffer. *)
-  Mdl_sparse.Csr.of_entry_iter ~rows:n ~cols:n (fun f ->
-      Md.iter_entries md (fun ~row ~col v ->
-          match (Statespace.index ss row, Statespace.index ss col) with
-          | Some i, Some j -> f i j v
-          | None, _ | _, None -> ()))
-
-let diag_mdd md mdd =
-  let d = Array.make (Mdd.count mdd) 0.0 in
-  co_walk md mdd (fun i j v -> if i = j then d.(i) <- d.(i) +. v);
-  d
+     constructor straight off the co-walk, no triplet buffer. *)
+  Mdl_sparse.Csr.of_entry_iter ~rows:n ~cols:n (co_walk "to_csr" md ss)

@@ -2,11 +2,14 @@
     restricted to a reachable state space.
 
     These are the kernels of MD-based numerical solution: the matrix is
-    never materialised — each product walks the diagram's paths and
-    translates substate tuples to vector indices through the state
-    space.  Entries whose row or column tuple is unreachable are
-    skipped (they cannot carry probability mass in a well-formed
-    model). *)
+    never materialised.  Each product walks the diagram together with a
+    row and a column cursor in the state space's counted MDD
+    ({!Statespace}), so row and column indices accumulate as path
+    offsets — no hashing per entry — and entries whose row or column
+    tuple is unreachable are pruned wholesale (they cannot carry
+    probability mass in a well-formed model).  Every function raises
+    [Invalid_argument] when the diagram and the state space have
+    different level counts. *)
 
 val vec_mul :
   Md.t -> Statespace.t -> Mdl_sparse.Vec.t -> Mdl_sparse.Vec.t
@@ -14,41 +17,24 @@ val vec_mul :
     matrix the diagram represents. @raise Invalid_argument if the vector
     size differs from [Statespace.size ss]. *)
 
+val vec_mul_mdd : Md.t -> Mdd.t -> Mdl_sparse.Vec.t -> Mdl_sparse.Vec.t
+(** {!vec_mul} under its former MDD-indexed name. *)
+
 val mul_vec :
   Md.t -> Statespace.t -> Mdl_sparse.Vec.t -> Mdl_sparse.Vec.t
 (** [mul_vec md ss x] is [R * x]. *)
 
 val row_sums : Md.t -> Statespace.t -> Mdl_sparse.Vec.t
-(** Exit rates [R(s, S)] of each reachable state (column tuples falling
-    outside the state space still contribute — a rate out of a reachable
-    state counts toward its exit rate regardless). *)
+(** Exit rates [R(s, S)] of each reachable state into the reachable
+    space; for reachability-closed spaces (every explored model) these
+    are the full exit rates. *)
+
+val diag : Md.t -> Statespace.t -> Mdl_sparse.Vec.t
+(** [diag md ss] is the main diagonal [R(s, s)] of the represented
+    matrix — what a Jacobi preconditioner needs, one co-walk, no matrix
+    materialisation. *)
 
 val to_csr : Md.t -> Statespace.t -> Mdl_sparse.Csr.t
 (** Flatten the diagram to a sparse matrix over state-space indices —
     the "generate the whole matrix" baseline used for comparison and for
     feeding the flat state-level lumping algorithm. *)
-
-(** {1 MDD-indexed products}
-
-    The same products driven by an {!Mdd.t} instead of a hash-indexed
-    {!Statespace.t}: the diagram and two MDD cursors are walked
-    together, so unreachable sub-spaces are pruned wholesale and row and
-    column indices accumulate as path offsets — no hashing per entry.
-    This is how MD-based solvers actually index the reachable space; the
-    bench harness compares the two. *)
-
-val vec_mul_mdd : Md.t -> Mdd.t -> Mdl_sparse.Vec.t -> Mdl_sparse.Vec.t
-(** [vec_mul_mdd md mdd x] is [x * R] over MDD (lexicographic) indices —
-    the same indexing as {!Statespace.index}. *)
-
-val mul_vec_mdd : Md.t -> Mdd.t -> Mdl_sparse.Vec.t -> Mdl_sparse.Vec.t
-
-val row_sums_mdd : Md.t -> Mdd.t -> Mdl_sparse.Vec.t
-(** Unlike {!row_sums}, entries whose column tuple is unreachable are
-    pruned by the co-walk; for well-formed (reachability-closed) models
-    the two agree. *)
-
-val diag_mdd : Md.t -> Mdd.t -> Mdl_sparse.Vec.t
-(** [diag_mdd md mdd] is the main diagonal [R(s, s)] of the represented
-    matrix over MDD indices — what a Jacobi preconditioner needs, one
-    co-walk, no matrix materialisation. *)

@@ -47,8 +47,6 @@ let manager ~levels =
     count_cache = Hashtbl.create 1024;
   }
 
-let levels m = m.nlevels
-
 let empty _m = zero
 
 let is_empty t = t = zero
@@ -94,40 +92,32 @@ let rec union m a b =
     | None ->
         let da = data m a and db = data m b in
         assert (da.level = db.level);
-        (* merge the sorted arc arrays *)
-        let out = Dynarray.create () in
-        let na = Array.length da.arcs and nb = Array.length db.arcs in
-        let i = ref 0 and j = ref 0 in
-        while !i < na || !j < nb do
-          if !i >= na then begin
-            Dynarray.push out db.arcs.(!j);
-            incr j
-          end
-          else if !j >= nb then begin
-            Dynarray.push out da.arcs.(!i);
-            incr i
-          end
-          else begin
-            let sa, ca = da.arcs.(!i) and sb, cb = db.arcs.(!j) in
-            if sa < sb then begin
-              Dynarray.push out (sa, ca);
-              incr i
-            end
-            else if sb < sa then begin
-              Dynarray.push out (sb, cb);
-              incr j
-            end
-            else begin
-              Dynarray.push out (sa, union m ca cb);
-              incr i;
-              incr j
-            end
-          end
-        done;
-        let r = mk m da.level (Dynarray.to_array out) in
+        let r =
+          build m da.level (fun add ->
+              Array.iter (fun (v, c) -> add v c) da.arcs;
+              Array.iter (fun (v, c) -> add v c) db.arcs)
+        in
         Hashtbl.add m.union_cache key r;
         r
   end
+
+(* Hash-cons the level-[level] node whose arcs [fill] emits: [fill add]
+   calls [add v c] once per (local state, child) pair; children sharing a
+   local state are unioned, empty children dropped, and the arcs sorted
+   by local state. *)
+and build m level fill =
+  let pairs = ref [] in
+  fill (fun v c -> if c <> zero then pairs := (v, c) :: !pairs);
+  let merged =
+    List.fold_left
+      (fun acc (v, c) ->
+        match acc with
+        | (v', c') :: rest when v' = v -> (v, union m c' c) :: rest
+        | _ -> (v, c) :: acc)
+      []
+      (List.stable_sort (fun ((a : int), _) (b, _) -> Int.compare a b) !pairs)
+  in
+  mk m level (Array.of_list (List.rev merged))
 
 let mem m t tuple =
   if Array.length tuple <> m.nlevels then invalid_arg "Set_mdd.mem: tuple length mismatch";
@@ -165,37 +155,28 @@ let rec count m t =
 
 let num_nodes m = Dynarray.length m.nodes
 
-(* The image computation interns nothing by itself: [rel] is consulted
-   only for local states present in the set, and a level's successors
-   are materialised only when all deeper levels produced a non-empty
-   image — see the Kronecker product semantics in the mli. *)
+(* Emit the arcs of one event's image of node [d]: every arc whose local
+   state [rel] enables maps its child through [sub] and fans out to the
+   successor local states.  [rel] is consulted only for local states
+   present in the set, and successors are materialised only when the
+   deeper levels produced a non-empty image — the Kronecker product
+   semantics in the mli. *)
+let step rel d sub add =
+  Array.iter
+    (fun (s, child) ->
+      match rel d.level s with
+      | [] -> ()
+      | targets ->
+          let child' = sub child in
+          if child' <> zero then List.iter (fun v -> add v child') targets)
+    d.arcs
+
 let image m rel t =
   let rec walk id =
-    if id = zero then zero
-    else if id = one then one
-    else begin
+    if id = zero || id = one then id
+    else
       let d = data m id in
-      (* accumulate target local state -> child image (unioned) *)
-      let acc : (int, t) Hashtbl.t = Hashtbl.create 8 in
-      Array.iter
-        (fun (s, child) ->
-          match rel d.level s with
-          | [] -> ()
-          | targets ->
-              let child' = walk child in
-              if child' <> zero then
-                List.iter
-                  (fun v ->
-                    let prev = Option.value ~default:zero (Hashtbl.find_opt acc v) in
-                    Hashtbl.replace acc v (union m prev child'))
-                  targets)
-        d.arcs;
-      let arcs =
-        Hashtbl.fold (fun v c l -> (v, c) :: l) acc []
-        |> List.sort compare |> Array.of_list
-      in
-      mk m d.level arcs
-    end
+      build m d.level (step rel d walk)
   in
   walk t
 
@@ -203,32 +184,13 @@ let image_cached m ~key rel t =
   (* One flat cache for all events; per-(event, node) entries.  Note the
      cache is only sound if [rel] is deterministic per key. *)
   let rec walk id =
-    if id = zero then zero
-    else if id = one then one
+    if id = zero || id = one then id
     else
       match Hashtbl.find_opt m.image_cache (key, id) with
       | Some r -> r
       | None ->
           let d = data m id in
-          let acc : (int, t) Hashtbl.t = Hashtbl.create 8 in
-          Array.iter
-            (fun (s, child) ->
-              match rel d.level s with
-              | [] -> ()
-              | targets ->
-                  let child' = walk child in
-                  if child' <> zero then
-                    List.iter
-                      (fun v ->
-                        let prev = Option.value ~default:zero (Hashtbl.find_opt acc v) in
-                        Hashtbl.replace acc v (union m prev child'))
-                      targets)
-            d.arcs;
-          let arcs =
-            Hashtbl.fold (fun v c l -> (v, c) :: l) acc []
-            |> List.sort compare |> Array.of_list
-          in
-          let r = mk m d.level arcs in
+          let r = build m d.level (step rel d walk) in
           Hashtbl.add m.image_cache (key, id) r;
           r
   in
@@ -268,30 +230,11 @@ let saturation m ~rels ~tops s =
             if n = zero then zero
             else begin
               let dn = data m n in
-              let acc : (int, t) Hashtbl.t = Hashtbl.create 8 in
-              List.iter
-                (fun e ->
-                  Array.iter
-                    (fun (v, child) ->
-                      match rels.(e) dn.level v with
-                      | [] -> ()
-                      | targets ->
-                          let child' = img_below e child in
-                          if child' <> zero then
-                            List.iter
-                              (fun v' ->
-                                let prev =
-                                  Option.value ~default:zero (Hashtbl.find_opt acc v')
-                                in
-                                Hashtbl.replace acc v' (union m prev child'))
-                              targets)
-                    dn.arcs)
-                by_top.(dn.level);
-              let arcs =
-                Hashtbl.fold (fun v c l -> (v, c) :: l) acc []
-                |> List.sort compare |> Array.of_list
+              let fired =
+                build m dn.level (fun add ->
+                    List.iter (fun e -> step rels.(e) dn (img_below e) add) by_top.(dn.level))
               in
-              let n' = union m n (mk m dn.level arcs) in
+              let n' = union m n fired in
               if n' = n then n else fire n'
             end
           in
@@ -308,51 +251,33 @@ let saturation m ~rels ~tops s =
       | Some r -> r
       | None ->
           let d = data m id in
-          let acc : (int, t) Hashtbl.t = Hashtbl.create 8 in
-          Array.iter
-            (fun (v, child) ->
-              match rels.(e) d.level v with
-              | [] -> ()
-              | targets ->
-                  let child' = img_below e child in
-                  if child' <> zero then
-                    List.iter
-                      (fun v' ->
-                        let prev =
-                          Option.value ~default:zero (Hashtbl.find_opt acc v')
-                        in
-                        Hashtbl.replace acc v' (union m prev child'))
-                      targets)
-            d.arcs;
-          let arcs =
-            Hashtbl.fold (fun v c l -> (v, c) :: l) acc []
-            |> List.sort compare |> Array.of_list
-          in
           (* saturate the image: new substates may enable events rooted
              at this level or below *)
-          let r = saturate (mk m d.level arcs) in
+          let r = saturate (build m d.level (step rels.(e) d (img_below e))) in
           Hashtbl.add img_cache (e, id) r;
           r
   in
   saturate s
 
-let iter m t f =
-  if t <> zero then begin
-    let buf = Array.make m.nlevels 0 in
-    let rec walk id level =
-      if level > m.nlevels then f buf
-      else
-        Array.iter
-          (fun (s, child) ->
-            buf.(level - 1) <- s;
-            walk child (level + 1))
-          (data m id).arcs
-    in
-    walk t 1
-  end
-
 let to_statespace m t =
   if t = zero then invalid_arg "Set_mdd.to_statespace: empty set";
-  let tuples = ref [] in
-  iter m t (fun s -> tuples := Array.copy s :: !tuples);
-  Statespace.of_tuples ~levels:m.nlevels !tuples
+  Statespace.of_diagram ~levels:m.nlevels ~root:t ~arcs:(fun id -> (data m id).arcs)
+
+let relabel ss f =
+  let levels = Statespace.levels ss in
+  let m = manager ~levels in
+  let memo = Hashtbl.create 64 in
+  let rec conv level n =
+    if level > levels then one
+    else
+      match Hashtbl.find_opt memo n with
+      | Some r -> r
+      | None ->
+          let r =
+            build m level (fun add ->
+                Statespace.iter_arcs ss n (fun s _ child -> add (f level s) (conv (level + 1) child)))
+          in
+          Hashtbl.add memo n r;
+          r
+  in
+  to_statespace m (conv 1 (Statespace.root ss))

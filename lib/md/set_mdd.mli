@@ -17,8 +17,6 @@ type t = private int
 val manager : levels:int -> man
 (** @raise Invalid_argument if [levels < 1]. *)
 
-val levels : man -> int
-
 val empty : man -> t
 
 val is_empty : t -> bool
@@ -74,8 +72,15 @@ val saturation :
     @raise Invalid_argument if [rels] and [tops] differ in length or a
     top is out of range. *)
 
-val iter : man -> t -> (int array -> unit) -> unit
-(** Enumerate tuples in lexicographic order (buffer reused). *)
-
 val to_statespace : man -> t -> Statespace.t
-(** @raise Invalid_argument on the empty set. *)
+(** The set as a counted-MDD state space, converted node by node in
+    [O(nodes)] — no tuple is enumerated; indices are lexicographic.
+    @raise Invalid_argument on the empty set. *)
+
+val relabel : Statespace.t -> (int -> int -> int) -> Statespace.t
+(** [relabel ss f] is the state space [{(f 1 s_1, .., f L s_L) | s in ss}],
+    built per level in [O(nodes)]: each node's local states are
+    relabelled through [f l] and the suffix sets of local states sharing
+    a label are unioned (in a fresh manager).  With an injective [f] it
+    is a pure renaming — re-sorting each node's arcs; with class ids it
+    is the lumped state space. *)

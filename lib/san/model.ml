@@ -1,6 +1,9 @@
 module Dynarray = Mdl_util.Dynarray
 module Csr = Mdl_sparse.Csr
 module Coo = Mdl_sparse.Coo
+module Statespace = Mdl_md.Statespace
+module Set_mdd = Mdl_md.Set_mdd
+module Trace = Mdl_obs.Trace
 
 let src = Logs.Src.create "mdl.san" ~doc:"compositional model exploration"
 
@@ -85,86 +88,79 @@ type exploration = {
   initial_tuple : int array;
 }
 
-(* Canonicalise an exploration: keep only local states occurring in some
-   reachable tuple, order each level's local states lexicographically by
-   their encoding (so the result is independent of discovery order and
-   of the exploration strategy), remap all tuples, and build the final
-   local spaces, Kronecker descriptor and state space. *)
-let finalize t interners old_tuples old_initial =
-  let ncomp = Array.length t.comps in
-  (* occurrence masks *)
-  let occurring =
-    Array.init ncomp (fun k -> Array.make (Dynarray.length interners.(k).states) false)
+(* Canonicalise an exploration: keep only the local states occurring in
+   some state of [raw ()] (the reachable space over interned indices),
+   order each level's by encoding (so the result is independent of
+   discovery order and of the exploration strategy), [relabel] the state
+   space onto the new indices, and build the final local spaces and
+   Kronecker descriptor. *)
+let finalize t interners initial raw relabel =
+  let local_spaces, remap, statespace =
+    Trace.with_span "explore.index" (fun () ->
+        let raw = raw () in
+        let remap = Array.map (fun it -> Array.make (Dynarray.length it.states) (-1)) interners in
+        let local_spaces =
+          Array.mapi
+            (fun k it ->
+              let sorted =
+                Array.of_list
+                  (List.map (Dynarray.get it.states) (Statespace.local_states raw (k + 1)))
+              in
+              Array.sort compare sorted;
+              Array.iteri
+                (fun new_idx s -> remap.(k).(State_table.find it.index_of s) <- new_idx)
+                sorted;
+              sorted)
+            interners
+        in
+        (local_spaces, remap, relabel raw (fun l i -> remap.(l - 1).(i))))
   in
-  List.iter
-    (fun tuple -> Array.iteri (fun k i -> occurring.(k).(i) <- true) tuple)
-    old_tuples;
-  (* canonical order of the occurring local states *)
-  let remap = Array.init ncomp (fun k -> Array.make (Dynarray.length interners.(k).states) (-1)) in
-  let local_spaces =
-    Array.init ncomp (fun k ->
-        let occ = ref [] in
-        Array.iteri
-          (fun i present ->
-            if present then occ := Dynarray.get interners.(k).states i :: !occ)
-          occurring.(k);
-        let sorted = Array.of_list !occ in
-        Array.sort compare sorted;
-        Array.iteri
-          (fun new_idx s ->
-            match State_table.find_opt interners.(k).index_of s with
-            | Some old_idx -> remap.(k).(old_idx) <- new_idx
-            | None -> assert false)
-          sorted;
-        sorted)
-  in
-  let remap_tuple tuple = Array.mapi (fun k i -> remap.(k).(i)) tuple in
-  let sizes = Array.map Array.length local_spaces in
   (* Per-event local matrices over the final local spaces; transitions
      into non-occurring local states cannot fire in any reachable global
      state and are dropped. *)
-  let kron_events =
-    List.filter_map
-      (fun e ->
-        let locals_ok = ref true in
-        let locals =
-          Array.mapi
-            (fun k n ->
-              let coo = Coo.create ~rows:n ~cols:n in
-              for s = 0 to n - 1 do
-                List.iter
-                  (fun (s', w) ->
-                    if w <= 0.0 then
-                      invalid_arg
-                        (Printf.sprintf "Model.explore: event %s has non-positive weight"
-                           e.label);
-                    match State_table.find_opt interners.(k).index_of s' with
-                    | Some old_j ->
-                        let j = remap.(k).(old_j) in
-                        if j >= 0 then Coo.add coo s j w
-                    | None -> ())
-                  (e.effects.(k) local_spaces.(k).(s))
-              done;
-              let m = Csr.of_coo coo in
-              if Csr.nnz m = 0 then locals_ok := false;
-              m)
-            sizes
-        in
-        if !locals_ok then
-          Some { Mdl_kron.Kronecker.label = e.label; rate = e.rate; locals }
-        else None)
-      t.evts
-  in
-  let descriptor = Mdl_kron.Kronecker.make ~sizes kron_events in
-  let statespace =
-    Mdl_md.Statespace.of_tuples ~levels:ncomp (List.map remap_tuple old_tuples)
+  let descriptor =
+    Trace.with_span "explore.descriptor" @@ fun () ->
+      let sizes = Array.map Array.length local_spaces in
+      let kron_events =
+        List.filter_map
+          (fun e ->
+            let locals_ok = ref true in
+            let locals =
+              Array.mapi
+                (fun k n ->
+                  let coo = Coo.create ~rows:n ~cols:n in
+                  for s = 0 to n - 1 do
+                    List.iter
+                      (fun (s', w) ->
+                        if w <= 0.0 then
+                          invalid_arg
+                            (Printf.sprintf "Model.explore: event %s has non-positive weight"
+                               e.label);
+                        match State_table.find_opt interners.(k).index_of s' with
+                        | Some old_j ->
+                            let j = remap.(k).(old_j) in
+                            if j >= 0 then Coo.add coo s j w
+                        | None -> ())
+                      (e.effects.(k) local_spaces.(k).(s))
+                  done;
+                  let m = Csr.of_coo coo in
+                  if Csr.nnz m = 0 then locals_ok := false;
+                  m)
+                sizes
+            in
+            if !locals_ok then
+              Some { Mdl_kron.Kronecker.label = e.label; rate = e.rate; locals }
+            else None)
+          t.evts
+      in
+      Mdl_kron.Kronecker.make ~sizes kron_events
   in
   {
     model = t;
     local_spaces;
     statespace;
     descriptor;
-    initial_tuple = remap_tuple old_initial;
+    initial_tuple = Array.mapi (fun k i -> remap.(k).(i)) initial;
   }
 
 let explore ?(max_states = 5_000_000) t =
@@ -223,7 +219,9 @@ let explore ?(max_states = 5_000_000) t =
         (String.concat "/"
            (Array.to_list
               (Array.map (fun it -> string_of_int (Dynarray.length it.states)) interners))));
-  finalize t interners (Dynarray.to_list tuples) initial_tuple
+  finalize t interners initial_tuple
+    (fun () -> Statespace.of_tuples ~levels:ncomp (Dynarray.to_list tuples))
+    (fun raw f -> Statespace.map raw (Array.mapi (fun k i -> f (k + 1) i)))
 
 let explore_symbolic ?(max_states = 50_000_000) t =
   let ncomp = Array.length t.comps in
@@ -232,13 +230,16 @@ let explore_symbolic ?(max_states = 50_000_000) t =
     Array.mapi (fun k comp -> intern interners.(k) comp.initial) t.comps
   in
   let evts = Array.of_list t.evts in
-  let man = Mdl_md.Set_mdd.manager ~levels:ncomp in
-  (* Per-(event, level, local state) successor memo; successor local
-     states are interned on first evaluation. *)
-  let rel_memo : (int * int * int, int list) Hashtbl.t = Hashtbl.create 1024 in
+  let man = Set_mdd.manager ~levels:ncomp in
+  (* Per-(event, level) successor memo, indexed by local state; successor
+     local states are interned on first evaluation. *)
+  let rel_memo = Array.map (fun _ -> Array.init ncomp (fun _ -> Dynarray.create ())) evts in
   let rel e level old_idx =
-    let key = (e, level, old_idx) in
-    match Hashtbl.find_opt rel_memo key with
+    let memo = rel_memo.(e).(level - 1) in
+    while Dynarray.length memo <= old_idx do
+      Dynarray.push memo None
+    done;
+    match Dynarray.get memo old_idx with
     | Some r -> r
     | None ->
         let k = level - 1 in
@@ -258,7 +259,7 @@ let explore_symbolic ?(max_states = 50_000_000) t =
            model has (more than) [max_states] states. *)
         if Dynarray.length interners.(k).states > max_states then
           failwith (Printf.sprintf "Model.explore_symbolic: more than %d states" max_states);
-        Hashtbl.add rel_memo key r;
+        Dynarray.set memo old_idx (Some r);
         r
   in
   (* An event's top level: the root-most level whose effect is not the
@@ -278,25 +279,33 @@ let explore_symbolic ?(max_states = 50_000_000) t =
   let tops = Array.map top_of evts in
   let rels = Array.init (Array.length evts) rel in
   let reachable =
-    Mdl_md.Set_mdd.saturation man ~rels ~tops
-      (Mdl_md.Set_mdd.singleton man initial_tuple)
+    Trace.with_span "explore.saturation" (fun () ->
+        Set_mdd.saturation man ~rels ~tops (Set_mdd.singleton man initial_tuple))
   in
-  if Mdl_md.Set_mdd.count man reachable > max_states then
+  if Set_mdd.count man reachable > max_states then
     failwith (Printf.sprintf "Model.explore_symbolic: more than %d states" max_states);
   Log.debug (fun m ->
-      m "explore_symbolic: %d states, %d set-MDD nodes"
-        (Mdl_md.Set_mdd.count man reachable)
-        (Mdl_md.Set_mdd.num_nodes man));
-  let old_tuples = ref [] in
-  Mdl_md.Set_mdd.iter man reachable (fun s -> old_tuples := Array.copy s :: !old_tuples);
-  finalize t interners !old_tuples initial_tuple
+      m "explore_symbolic: %d states, %d set-MDD nodes" (Set_mdd.count man reachable)
+        (Set_mdd.num_nodes man));
+  (* The saturated set becomes the counted-MDD state space node by node,
+     and the canonical relabelling re-sorts each node's arcs: no tuple is
+     ever enumerated. *)
+  finalize t interners initial_tuple
+    (fun () -> Set_mdd.to_statespace man reachable)
+    Set_mdd.relabel
 
 let local_index exp l s =
   if l < 1 || l > Array.length exp.local_spaces then
     invalid_arg "Model.local_index: level out of range";
   let space = exp.local_spaces.(l - 1) in
-  let rec find i = if i >= Array.length space then None else if space.(i) = s then Some i else find (i + 1) in
-  find 0
+  let rec search lo hi =
+    if lo >= hi then None
+    else
+      let mid = (lo + hi) / 2 in
+      let c = compare s space.(mid) in
+      if c = 0 then Some mid else if c < 0 then search lo mid else search (mid + 1) hi
+  in
+  search 0 (Array.length space)
 
 let md_of exp =
   Mdl_md.Compact.normalize

@@ -15,11 +15,11 @@
     probabilistic branching must be local to a level (conjunctive
     across levels).
 
-    {!explore} performs explicit reachability analysis (the stand-in for
-    the paper's symbolic state-space generation), discovers the
-    per-level local state spaces, and compiles the model to a
-    {!Mdl_kron.Kronecker.t} descriptor — from which the matrix diagram
-    is one {!Mdl_kron.Kronecker.to_md} away. *)
+    {!explore_symbolic} performs the paper's symbolic state-space
+    generation (explicit breadth-first {!explore} is its test oracle),
+    discovers the per-level local state spaces, and compiles the model
+    to a {!Mdl_kron.Kronecker.t} descriptor — from which the matrix
+    diagram is one {!Mdl_kron.Kronecker.to_md} away. *)
 
 type local_state = int array
 
@@ -57,7 +57,8 @@ type exploration = {
       (** [local_spaces.(l-1).(i)] is the decoded local state [i] of
           level [l]; indices are the MD level index sets *)
   statespace : Mdl_md.Statespace.t;
-      (** reachable global states, as tuples of local indices *)
+      (** reachable global states, as tuples of local indices (a
+          counted MDD) *)
   descriptor : Mdl_kron.Kronecker.t;
   initial_tuple : int array;  (** index tuple of the initial state *)
 }
@@ -75,15 +76,20 @@ val explore : ?max_states:int -> t -> exploration
 
 val explore_symbolic : ?max_states:int -> t -> exploration
 (** Symbolic reachability: the reachable set is computed as a
-    hash-consed set MDD ({!Mdl_md.Set_mdd}) by chained event-image
-    fixpoint iteration — the style of state-space generation the paper's
-    tool chain uses, and dramatically faster than explicit BFS on large
-    structured models.  Produces the same (canonical) exploration as
-    {!explore}.  [max_states] defaults to 50_000_000 (the set itself is
-    symbolic; enumeration happens only once at the end). *)
+    hash-consed set MDD ({!Mdl_md.Set_mdd}) by saturation — the style of
+    state-space generation the paper's tool chain uses, and dramatically
+    faster than explicit BFS on large structured models — and becomes
+    the counted-MDD state space node by node: no tuple is ever
+    enumerated.  Produces the same (canonical) exploration as
+    {!explore}.  [max_states] defaults to 50_000_000.
+
+    With tracing on ({!Mdl_obs.Trace}), the three phases run in spans
+    [explore.saturation], [explore.index] (occurrence masks, canonical
+    relabelling) and [explore.descriptor] (the Kronecker descriptor). *)
 
 val local_index : exploration -> int -> local_state -> int option
-(** Index of a local state in a level's discovered space. *)
+(** Index of a local state in a level's discovered space: a binary
+    search in the canonical order ([compare] on the encodings). *)
 
 val md_of : exploration -> Mdl_md.Md.t
 (** The matrix diagram of the explored model: [Kronecker.to_md]

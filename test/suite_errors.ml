@@ -90,7 +90,14 @@ let test_average_vector_empty_class () =
     (Invalid_argument
        "Compositional.average_vector: lumped state receives no flat states (is \
         lumped_ss the image of ss?)")
-    (fun () -> ignore (Compositional.average_vector r ss holey v))
+    (fun () -> ignore (Compositional.average_vector r ss holey v));
+  (* One global class of volume 4 holding 3 reachable states: the holey
+     space is not a union of classes, symbolically and by enumeration. *)
+  let coarse = { r with Compositional.partitions = [| Partition.trivial 2; Partition.trivial 2 |] } in
+  Alcotest.(check bool) "holey space not closed" false (Compositional.is_closed coarse holey);
+  Alcotest.(check bool) "reference agrees" false
+    (Mdl_oracle.Explore_oracle.is_closed coarse holey);
+  Alcotest.(check bool) "discrete partitions close it" true (Compositional.is_closed r holey)
 
 let test_level_lumping_errors () =
   let md = tiny_md () in
@@ -172,7 +179,13 @@ let test_mdd_errors () =
   let mdd = Mdl_md.Mdd.of_statespace ss in
   Alcotest.check_raises "index length"
     (Invalid_argument "Mdd.index: tuple length mismatch") (fun () ->
-      ignore (Mdl_md.Mdd.index mdd [| 0 |]))
+      ignore (Mdl_md.Mdd.index mdd [| 0 |]));
+  Alcotest.check_raises "product level count"
+    (Invalid_argument "Md_vector.vec_mul: level count mismatch") (fun () ->
+      ignore
+        (Mdl_md.Md_vector.vec_mul (tiny_md ())
+           (Statespace.of_tuples ~levels:1 [ [| 0 |] ])
+           [| 1.0 |]))
 
 let test_restructure_errors () =
   let md = tiny_md () in

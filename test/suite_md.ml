@@ -270,19 +270,32 @@ let test_mdd_sharing () =
   let mdd = Mdl_md.Mdd.of_statespace ss in
   Alcotest.(check int) "two shared nodes" 2 (Mdl_md.Mdd.num_nodes mdd)
 
+(* Reference products, independent of the co-walk: walk every diagram
+   entry and translate both tuples through [Statespace.index]. *)
+let hash_indexed_products md ss x =
+  let n = Statespace.size ss in
+  let xr = Array.make n 0.0 and rx = Array.make n 0.0 and sums = Array.make n 0.0 in
+  Md.iter_entries md (fun ~row ~col v ->
+      match (Statespace.index ss row, Statespace.index ss col) with
+      | Some i, Some j ->
+          xr.(j) <- xr.(j) +. (x.(i) *. v);
+          rx.(i) <- rx.(i) +. (v *. x.(j));
+          sums.(i) <- sums.(i) +. v
+      | _ -> ());
+  (xr, rx, sums)
+
 let test_mdd_products_match_hash_indexing () =
   let b = Mdl_models.Workstations.build (Mdl_models.Workstations.default ~stations:3) in
   let md = b.Mdl_models.Workstations.md in
   let ss = b.Mdl_models.Workstations.exploration.Mdl_san.Model.statespace in
-  let mdd = Mdl_md.Mdd.of_statespace ss in
   let n = Statespace.size ss in
   let x = Array.init n (fun i -> float_of_int (i mod 7) +. 0.5) in
-  Alcotest.(check bool) "vec_mul agrees" true
-    (Vec.approx_equal (Md_vector.vec_mul md ss x) (Md_vector.vec_mul_mdd md mdd x));
-  Alcotest.(check bool) "mul_vec agrees" true
-    (Vec.approx_equal (Md_vector.mul_vec md ss x) (Md_vector.mul_vec_mdd md mdd x));
-  Alcotest.(check bool) "row_sums agree" true
-    (Vec.approx_equal (Md_vector.row_sums md ss) (Md_vector.row_sums_mdd md mdd))
+  let xr, rx, sums = hash_indexed_products md ss x in
+  Alcotest.(check bool) "vec_mul agrees" true (Vec.approx_equal xr (Md_vector.vec_mul md ss x));
+  Alcotest.(check bool) "vec_mul_mdd agrees" true
+    (Vec.approx_equal xr (Md_vector.vec_mul_mdd md (Mdl_md.Mdd.of_statespace ss) x));
+  Alcotest.(check bool) "mul_vec agrees" true (Vec.approx_equal rx (Md_vector.mul_vec md ss x));
+  Alcotest.(check bool) "row_sums agree" true (Vec.approx_equal sums (Md_vector.row_sums md ss))
 
 (* --- set MDDs --- *)
 
@@ -585,6 +598,22 @@ let test_md_rev_iter () =
     (Invalid_argument "Md.rev_iter_node_row: row out of range") (fun () ->
       Md.rev_iter_node_row md node 3 (fun _ _ -> ()))
 
+(* A random set of tuples, duplicates included: 1-4 levels, substates
+   0-3. *)
+let arb_tuple_set =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 4 >>= fun levels ->
+      list_size (int_range 1 40) (array_size (return levels) (int_bound 3)) >>= fun tuples ->
+      return (levels, tuples))
+  in
+  QCheck.make gen ~print:(fun (levels, tuples) ->
+      Printf.sprintf "levels %d: %s" levels
+        (String.concat " "
+           (List.map
+              (fun s -> "(" ^ String.concat "," (Array.to_list (Array.map string_of_int s)) ^ ")")
+              tuples)))
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -687,6 +716,40 @@ let qcheck_tests =
         let x = Array.init n (fun i -> float_of_int (i + 1)) in
         Vec.approx_equal (Mdl_md.Md_vector.vec_mul md ss x) (Csr.vec_mul x flat)
         && Vec.approx_equal (Mdl_md.Md_vector.row_sums md ss) (Csr.row_sums flat));
+    Test.make ~count:300 ~name:"statespace invariants over random tuple sets" arb_tuple_set
+      (fun (levels, tuples) ->
+        let ss = Statespace.of_tuples ~levels tuples in
+        let distinct = List.sort_uniq compare tuples in
+        let seen = ref [] in
+        Statespace.iter (fun i s -> seen := (i, Array.copy s) :: !seen) ss;
+        let seen = List.rev !seen in
+        Statespace.size ss = List.length distinct
+        && List.map fst seen = List.init (List.length distinct) Fun.id
+        && List.map snd seen = distinct
+        && List.for_all (fun (i, s) -> Statespace.tuple ss i = s) seen
+        && List.for_all (fun (i, s) -> Statespace.index ss s = Some i) seen
+        && List.for_all
+             (fun l ->
+               Statespace.local_states ss l
+               = List.sort_uniq compare (List.map (fun s -> s.(l - 1)) tuples))
+             (List.init levels (fun l -> l + 1)));
+    Test.make ~count:300 ~name:"relabel-and-union and weighted size match enumeration"
+      arb_tuple_set (fun (levels, tuples) ->
+        let ss = Statespace.of_tuples ~levels tuples in
+        let f l s = (s + l) mod 2 in
+        let relabelled = Mdl_md.Set_mdd.relabel ss f in
+        let mapped = Statespace.map ss (Array.mapi (fun k s -> f (k + 1) s)) in
+        let w l s = 1 + ((s * l) mod 3) in
+        let weighted = ref 0 in
+        Statespace.iter
+          (fun _ s ->
+            weighted := !weighted + Array.fold_left ( * ) 1 (Array.mapi (fun k v -> w (k + 1) v) s))
+          ss;
+        Statespace.size relabelled = Statespace.size mapped
+        && List.for_all
+             (fun i -> Statespace.tuple relabelled i = Statespace.tuple mapped i)
+             (List.init (Statespace.size mapped) Fun.id)
+        && Statespace.weighted_size ss w = !weighted);
     Test.make ~count:200 ~name:"formal sum scale distributes over add"
       (pair (small_list (pair (int_bound 5) (int_bound 4))) (int_bound 6))
       (fun (l, k) ->

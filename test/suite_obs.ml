@@ -641,6 +641,35 @@ let test_tracing_changes_nothing () =
   Trace.clear ();
   Metrics.reset ()
 
+(* ----- generation spans ----- *)
+
+let test_explore_spans () =
+  (* A traced J = 1 build: the three generation phases run in order,
+     one after the other, directly inside the span around the call. *)
+  let p = Mdl_models.Tandem.default ~jobs:1 in
+  Trace.start ~gc:false ();
+  ignore (Trace.with_span "build" (fun () -> Mdl_models.Tandem.build p));
+  Trace.stop ();
+  let spans = ref [] in
+  Trace.iter_events (fun ~name ~cat:_ ~start_ns ~dur_ns ~depth ~args:_ ->
+      spans := (name, start_ns, Int64.add start_ns dur_ns, depth) :: !spans);
+  let find n =
+    match List.find_opt (fun (m, _, _, _) -> m = n) !spans with
+    | Some s -> s
+    | None -> Alcotest.failf "%s span missing" n
+  in
+  let _, b0, b1, bdepth = find "build" in
+  let phases = List.map find [ "explore.saturation"; "explore.index"; "explore.descriptor" ] in
+  ignore
+    (List.fold_left
+       (fun prev_end (n, t0, t1, depth) ->
+         Alcotest.(check int) (n ^ " nested in build") (bdepth + 1) depth;
+         Alcotest.(check bool) (n ^ " inside build") true (t0 >= b0 && t1 <= b1);
+         Alcotest.(check bool) (n ^ " after the previous phase") true (t0 >= prev_end);
+         t1)
+       b0 phases);
+  Trace.clear ()
+
 (* ----- logging ----- *)
 
 let test_logging_levels () =
@@ -677,5 +706,6 @@ let tests =
       test_metrics_match_refiner_stats;
     Alcotest.test_case "transient metrics pin" `Quick test_transient_metrics_pin;
     Alcotest.test_case "tracing changes no output" `Quick test_tracing_changes_nothing;
+    Alcotest.test_case "generation spans" `Quick test_explore_spans;
     Alcotest.test_case "logging levels" `Quick test_logging_levels;
   ]

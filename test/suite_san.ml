@@ -45,6 +45,38 @@ let test_explore_tiny () =
   Alcotest.(check (option int)) "local index" (Some 0)
     (Model.local_index exp 1 [| 0 |])
 
+let test_local_index_binary_search () =
+  (* The binary search agrees with a linear scan on every local state of
+     the bundled models, and misses absent states. *)
+  let explore m = Model.explore_symbolic m in
+  let linear exp l s =
+    let space = exp.Model.local_spaces.(l - 1) in
+    let rec find i =
+      if i >= Array.length space then None else if space.(i) = s then Some i else find (i + 1)
+    in
+    find 0
+  in
+  List.iter
+    (fun (name, exp) ->
+      Array.iteri
+        (fun k space ->
+          Array.iter
+            (fun s ->
+              Alcotest.(check (option int)) (name ^ " local state") (linear exp (k + 1) s)
+                (Model.local_index exp (k + 1) s))
+            space;
+          Alcotest.(check (option int)) (name ^ " absent state") None
+            (Model.local_index exp (k + 1) [| -7; 1; 2; 3; 4; 5; 6; 7; 8; 9 |]))
+        exp.Model.local_spaces)
+    [
+      ("tiny", Model.explore (tiny_model ()));
+      ("workstations", explore Mdl_models.Workstations.(model (default ~stations:3)));
+      ("polling", explore Mdl_models.Polling.(model (default ~customers:2)));
+      ("multitier", explore Mdl_models.Multitier.(model (default ~clients:2)));
+      ("kanban", explore Mdl_models.Kanban.(model (default ~cards:1)));
+      ("tandem", explore Mdl_models.Tandem.(model (default ~jobs:1)));
+    ]
+
 let test_explore_guards_restrict () =
   (* A model where the second component never moves because the guard on
      component 1 never holds. *)
@@ -253,42 +285,7 @@ let test_compact_preserves_matrix () =
 
 (* ----- whole-pipeline fuzzing over random compositional models ----- *)
 
-(* A deterministic random model from a seed: 1-3 bounded-counter
-   components, 1-5 events picked from a small effect repertoire. *)
-let random_model seed =
-  let rng = Mdl_util.Prng.create (Int64.of_int seed) in
-  let ncomp = 1 + Mdl_util.Prng.int rng 3 in
-  let caps = Array.init ncomp (fun _ -> 1 + Mdl_util.Prng.int rng 3) in
-  let components =
-    Array.init ncomp (fun k ->
-        { Model.name = Printf.sprintf "c%d" k; initial = [| 0 |] })
-  in
-  let effect_of_kind cap kind =
-    match kind with
-    | 0 -> id
-    | 1 -> fun s -> if s.(0) < cap then [ ([| s.(0) + 1 |], 1.0) ] else []
-    | 2 -> fun s -> if s.(0) > 0 then [ ([| s.(0) - 1 |], 1.0) ] else []
-    | 3 -> fun s -> if s.(0) > 0 then [ ([| 0 |], 1.0) ] else []
-    | 4 ->
-        (* probabilistic branch: up or reset *)
-        fun s ->
-          if s.(0) > 0 && s.(0) < cap then
-            [ ([| s.(0) + 1 |], 0.5); ([| 0 |], 0.5) ]
-          else []
-    | _ -> fun s -> if s.(0) <= 1 then [ ([| 1 - s.(0) |], 1.0) ] else []
-  in
-  let nevents = 1 + Mdl_util.Prng.int rng 5 in
-  let events =
-    List.init nevents (fun e ->
-        {
-          Model.label = Printf.sprintf "e%d" e;
-          rate = float_of_int (1 + Mdl_util.Prng.int rng 3);
-          effects =
-            Array.init ncomp (fun k ->
-                effect_of_kind caps.(k) (Mdl_util.Prng.int rng 6));
-        })
-  in
-  Model.make ~components ~events
+let random_model = Mdl_oracle.Explore_oracle.random_model
 
 let arb_seed = QCheck.(make ~print:string_of_int Gen.(int_range 0 100_000))
 
@@ -370,6 +367,7 @@ let qcheck_tests = [ fuzz_pipeline; fuzz_merge ]
 let tests =
   [
     Alcotest.test_case "explore tiny model" `Quick test_explore_tiny;
+    Alcotest.test_case "local_index binary search" `Quick test_local_index_binary_search;
     Alcotest.test_case "guards restrict exploration" `Quick test_explore_guards_restrict;
     Alcotest.test_case "max_states guard" `Quick test_explore_max_states;
     Alcotest.test_case "model validation" `Quick test_model_validation;
