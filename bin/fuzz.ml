@@ -6,8 +6,11 @@
    (see Mdl_oracle.Oracle).  Every case also draws a random SAN model
    and checks symbolic state-space generation, the lumped state space
    and the closure test against explicit references
-   (Mdl_oracle.Explore_oracle).  Deterministic: one master --seed drives
-   the whole run, and every case prints a spec that reproduces it.
+   (Mdl_oracle.Explore_oracle), and checks the compiled product plan of
+   its diagram and of its lumped quotient, over a random reachable
+   subset, against the reference co-walk (Mdl_oracle.Product_oracle).
+   Deterministic: one master --seed drives the whole run, and every
+   case prints a spec that reproduces it.
 
    Examples:
      dune exec bin/fuzz.exe -- --count 200 --seed 42
@@ -20,6 +23,7 @@ module Prng = Mdl_util.Prng
 module Spec = Mdl_oracle.Spec
 module Oracle = Mdl_oracle.Oracle
 module Explore_oracle = Mdl_oracle.Explore_oracle
+module Product_oracle = Mdl_oracle.Product_oracle
 
 let run_fuzz count seed max_levels modes sanity domains verbose =
   (* [--verbose] keeps its per-case outcome printing; the shared logging
@@ -55,6 +59,8 @@ let run_fuzz count seed max_levels modes sanity domains verbose =
   let checked = ref 0 in
   let explored = ref 0 and explore_failures = ref 0 in
   let explore_missed = ref 0 and explore_skipped = ref 0 in
+  let products = ref 0 and product_failures = ref 0 in
+  let product_missed = ref 0 and product_skipped = ref 0 in
   let family_counts = Hashtbl.create 4 in
   for i = 0 to count - 1 do
     let prng = Prng.fork master i in
@@ -89,6 +95,23 @@ let run_fuzz count seed max_levels modes sanity domains verbose =
             Explore_oracle.pp_outcome o seed i
         end)
       faults;
+    let fault = if sanity then Some Product_oracle.Shift_col else None in
+    let po = Product_oracle.check_spec ?fault (Prng.fork prng 2) spec in
+    incr products;
+    if verbose then Format.printf "#%d %a@." i Product_oracle.pp_outcome po;
+    if sanity then begin
+      if not po.Product_oracle.injected then incr product_skipped
+      else if po.Product_oracle.violations = [] then begin
+        incr product_missed;
+        Format.printf "#%d SANITY MISS: shifted plan column not caught: %a@." i
+          Product_oracle.pp_outcome po
+      end
+    end
+    else if po.Product_oracle.violations <> [] then begin
+      incr product_failures;
+      Format.printf "#%d %a@.reproduce: --seed %d (case %d)@." i Product_oracle.pp_outcome po
+        seed i
+    end;
     let pool = pool_for prng in
     let par_threshold = if pool = None then None else Some 1 in
     List.iter
@@ -131,7 +154,11 @@ let run_fuzz count seed max_levels modes sanity domains verbose =
       "sanity: %d exploration checks with an injected fault: %d caught, %d missed, %d not injectable\n"
       !explored (!explored - !explore_missed - !explore_skipped) !explore_missed
       !explore_skipped;
-    if !missed > 0 || !explore_missed > 0 then begin
+    Printf.printf
+      "sanity: %d product checks with a shifted plan column: %d caught, %d missed, %d not injectable\n"
+      !products (!products - !product_missed - !product_skipped) !product_missed
+      !product_skipped;
+    if !missed > 0 || !explore_missed > 0 || !product_missed > 0 then begin
       print_endline "FAIL: the oracle is blind to injected faults";
       exit 1
     end;
@@ -141,7 +168,8 @@ let run_fuzz count seed max_levels modes sanity domains verbose =
     Printf.printf "fuzz: %d models (%s), %d oracle runs, %d violations%s\n" count
       families !checked !failures domains_note;
     Printf.printf "exploration: %d SAN models, %d violations\n" !explored !explore_failures;
-    if !failures > 0 || !explore_failures > 0 then exit 1;
+    Printf.printf "products: %d plan checks, %d violations\n" !products !product_failures;
+    if !failures > 0 || !explore_failures > 0 || !product_failures > 0 then exit 1;
     print_endline "ok: zero oracle violations"
   end
 
@@ -171,7 +199,7 @@ let mode_arg =
 let sanity_arg =
   Arg.(value & flag
        & info [ "sanity" ]
-           ~doc:"Oracle self-test: inject a rate perturbation into every lumped matrix and require the oracle to catch it.")
+           ~doc:"Oracle self-test: inject a rate perturbation into every lumped matrix, an index swap and a flipped closure verdict into every exploration check, and a shifted column offset into every product plan, and require the oracle to catch each.")
 
 let domains_arg =
   let domains_conv =

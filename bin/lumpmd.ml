@@ -262,22 +262,7 @@ let run inst mode key solve solver check_optimal dot_file export_file merge_leve
     | State_lumping.Ordinary ->
         let (pi, stats), solve_time =
           Mdl_util.Timer.time (fun () ->
-              match solver with
-              | Solver.Power ->
-                  Md_solve.steady_state ~tol:1e-12 ~max_iter:500_000
-                    result.Compositional.lumped lumped_ss
-              | Solver.Krylov ->
-                  Md_solve.steady_state_krylov ~tol:1e-12
-                    result.Compositional.lumped lumped_ss
-              | Solver.Gauss_seidel ->
-                  (* Gauss–Seidel needs explicit matrix rows: flatten the
-                     lumped diagram, reorder with reverse Cuthill–McKee,
-                     sweep with mild under-relaxation (pure sweeps
-                     oscillate on some lumped chains).  The distribution
-                     comes back in the original state numbering. *)
-                  let ctmc = Md_solve.ctmc_of result.Compositional.lumped lumped_ss in
-                  Solver.steady_state_gauss_seidel ~tol:1e-12 ~max_iter:100_000
-                    ~ordering:Solver.Rcm ~relax:0.9 ctmc)
+              Md_solve.steady_state_with solver result.Compositional.lumped lumped_ss)
         in
         Printf.printf "steady state (%s): %d iterations, %.2f s%s\n"
           (Solver.method_name solver) stats.Solver.iterations solve_time
@@ -407,18 +392,7 @@ let run_sweep inst points solve solver show_stats trace_file stream_trace show_m
       if not (Compositional.is_closed r ss) then
         print_endline "  WARNING: reachable set not class-closed; measures skipped"
       else begin
-        let pi, _ =
-          match solver with
-          | Solver.Power ->
-              Md_solve.steady_state ~tol:1e-12 ~max_iter:500_000
-                r.Compositional.lumped lumped_ss
-          | Solver.Krylov ->
-              Md_solve.steady_state_krylov ~tol:1e-12 r.Compositional.lumped lumped_ss
-          | Solver.Gauss_seidel ->
-              Solver.steady_state_gauss_seidel ~tol:1e-12 ~max_iter:100_000
-                ~ordering:Solver.Rcm ~relax:0.9
-                (Md_solve.ctmc_of r.Compositional.lumped lumped_ss)
-        in
+        let pi, _ = Md_solve.steady_state_with solver r.Compositional.lumped lumped_ss in
         List.iter
           (fun (name, d) ->
             let v =

@@ -48,6 +48,8 @@ let uniformized ?lambda t =
     match lambda with
     | None -> if max_rate = 0.0 then 1.0 else 1.02 *. max_rate
     | Some l ->
+        if not (Float.is_finite l && l > 0.0) then
+          invalid_arg "Ctmc.uniformized: lambda must be finite and positive";
         if l < max_rate then invalid_arg "Ctmc.uniformized: lambda below max exit rate";
         l
   in

@@ -35,8 +35,9 @@ val uniformized : ?lambda:float -> t -> Mdl_sparse.Csr.t * float
 (** [uniformized t] is the DTMC transition-probability matrix
     [P = I + Q / lambda] together with the uniformisation rate [lambda]
     (default: 1.02 * max exit rate, so [P] is strictly substochastic in
-    no row). @raise Invalid_argument if [lambda] is not >= max exit
-    rate or the chain is empty. *)
+    no row; [1.] on a chain without transitions).
+    @raise Invalid_argument if [lambda] is not finite and positive, is
+    below the max exit rate, or the chain is empty. *)
 
 val permute : t -> perm:int array -> t
 (** [permute t ~perm] relabels the states: state [perm.(k)] of [t]

@@ -555,15 +555,13 @@ let exec_solve t (s : P.solve) =
       else begin
         let lumped_ss = Compositional.lump_statespace r ss in
         let lumped = r.Compositional.lumped in
-        let pi, stats =
+        let method_ =
           match s.sv_solver with
-          | P.Power -> Md_solve.steady_state ~tol:1e-12 ~max_iter:500_000 lumped lumped_ss
-          | P.Krylov -> Md_solve.steady_state_krylov ~tol:1e-12 lumped lumped_ss
-          | P.Gauss_seidel ->
-              Solver.steady_state_gauss_seidel ~tol:1e-12 ~max_iter:100_000
-                ~ordering:Solver.Rcm ~relax:0.9
-                (Md_solve.ctmc_of lumped lumped_ss)
+          | P.Power -> Solver.Power
+          | P.Krylov -> Solver.Krylov
+          | P.Gauss_seidel -> Solver.Gauss_seidel
         in
+        let pi, stats = Md_solve.steady_state_with method_ lumped lumped_ss in
         let measures =
           List.map
             (fun (name, d) ->

@@ -120,6 +120,36 @@ let test_md_solve_errors () =
     (Invalid_argument "Md_solve.uniformized_operator: lambda below max exit rate")
     (fun () -> ignore (Md_solve.uniformized_operator ~lambda:1e-9 md ss))
 
+(* A uniformisation rate must be finite and positive: NaN passes a bare
+   [lambda < max_rate] test on any chain, and on a rate-free chain so do
+   zero, negative and infinite rates (zero then divides 0 by 0). *)
+let test_uniformization_rate_errors () =
+  let rate_free = Md.create ~sizes:[| 2 |] in
+  Md.set_root rate_free (Md.add_node rate_free ~level:1 []);
+  let ss = Statespace.of_tuples ~levels:1 [ [| 0 |]; [| 1 |] ] in
+  let chain = Ctmc.of_triplets 2 [] in
+  List.iter
+    (fun lambda ->
+      let name = Printf.sprintf "lambda %g" lambda in
+      Alcotest.check_raises ("md " ^ name)
+        (Invalid_argument "Md_solve.uniformized_operator: lambda must be finite and positive")
+        (fun () -> ignore (Md_solve.uniformized_operator ~lambda rate_free ss));
+      Alcotest.check_raises ("md with rates " ^ name)
+        (Invalid_argument "Md_solve.uniformized_operator: lambda must be finite and positive")
+        (fun () ->
+          ignore
+            (Md_solve.uniformized_operator ~lambda (tiny_md ())
+               (Statespace.of_tuples ~levels:2 [ [| 0; 0 |]; [| 1; 1 |] ])));
+      Alcotest.check_raises ("ctmc " ^ name)
+        (Invalid_argument "Ctmc.uniformized: lambda must be finite and positive")
+        (fun () -> ignore (Ctmc.uniformized ~lambda chain)))
+    [ Float.nan; 0.0; -1.0; Float.infinity ];
+  (* the default rate on a rate-free chain stays usable *)
+  let op, lambda = Md_solve.uniformized_operator rate_free ss in
+  Alcotest.(check (float 0.0)) "default rate" 1.0 lambda;
+  Alcotest.(check (array (float 0.0))) "identity operator" [| 0.25; 0.75 |]
+    (op.Solver.apply [| 0.25; 0.75 |])
+
 let test_decomposed_errors () =
   let sizes = [| 2; 2 |] in
   Alcotest.check_raises "of_level range"
@@ -229,6 +259,7 @@ let tests =
     Alcotest.test_case "average_vector empty class" `Quick test_average_vector_empty_class;
     Alcotest.test_case "level lumping errors" `Quick test_level_lumping_errors;
     Alcotest.test_case "md_solve errors" `Quick test_md_solve_errors;
+    Alcotest.test_case "invalid uniformisation rates" `Quick test_uniformization_rate_errors;
     Alcotest.test_case "decomposed errors" `Quick test_decomposed_errors;
     Alcotest.test_case "solver errors" `Quick test_solver_errors;
     Alcotest.test_case "measures errors" `Quick test_measures_errors;

@@ -197,6 +197,66 @@ let test_tandem_solver_race () =
   in
   check_solver_race ~name:"tandem" ss b.Tandem.rewards_availability result
 
+(* [Md_solve.steady_state_with] — the dispatch behind [lumpmd --solve]
+   and [lumpd]'s solve verb — on the paper's J = 2 tandem: every kernel
+   converges to the availability the benchmark pins. *)
+let test_tandem_dispatch_j2 () =
+  let b = Tandem.build (Tandem.default ~jobs:2) in
+  let ss = b.Tandem.exploration.Model.statespace in
+  let result =
+    Compositional.lump Ordinary b.Tandem.md ~rewards:[ b.Tandem.rewards_availability ]
+      ~initial:b.Tandem.initial
+  in
+  let lumped_ss = Compositional.lump_statespace result ss in
+  let r =
+    Decomposed.to_vector
+      (Compositional.lumped_rewards result b.Tandem.rewards_availability)
+      lumped_ss
+  in
+  let availability m =
+    let pi, st = Md_solve.steady_state_with m result.Compositional.lumped lumped_ss in
+    Alcotest.(check bool) (Solver.method_name m ^ " converged") true st.Solver.converged;
+    Solver.expected_reward pi r
+  in
+  let values = List.map availability [ Solver.Power; Solver.Krylov; Solver.Gauss_seidel ] in
+  List.iter
+    (fun v ->
+      Alcotest.(check (float 1e-9)) "availability" 0.909090909285390 v;
+      Alcotest.(check (float 1e-9)) "agrees with power" (List.hd values) v)
+    values
+
+(* The compiled product plan against the reference co-walk on every
+   bundled model, over its reachable space and over the lumped one:
+   bit-identical products, row sums and diagonals, equal flattenings. *)
+let test_plan_matches_co_walk () =
+  let check name md ss reward initial =
+    let result = Compositional.lump Ordinary md ~rewards:[ reward ] ~initial in
+    let lumped_ss = Compositional.lump_statespace result ss in
+    List.iteri
+      (fun k (what, md, ss) ->
+        let vs, _ =
+          Mdl_oracle.Product_oracle.check ~what (Mdl_util.Prng.of_seed k) md ss
+        in
+        Alcotest.(check (list string)) (name ^ " " ^ what) []
+          (List.map (fun v -> v.Mdl_oracle.Invariants.detail) vs))
+      [ ("diagram", md, ss); ("lumped", result.Compositional.lumped, lumped_ss) ]
+  in
+  let ws = Workstations.build (Workstations.default ~stations:3) in
+  check "workstations" ws.Workstations.md ws.Workstations.exploration.Model.statespace
+    ws.Workstations.rewards_operational ws.Workstations.initial;
+  let po = Polling.build (Polling.default ~customers:2) in
+  check "polling" po.Polling.md po.Polling.exploration.Model.statespace
+    po.Polling.rewards_busy_servers po.Polling.initial;
+  let mt = Multitier.build (Multitier.default ~clients:2) in
+  check "multitier" mt.Multitier.md mt.Multitier.exploration.Model.statespace
+    mt.Multitier.rewards_thinking mt.Multitier.initial;
+  let kb = Kanban.build (Kanban.default ~cards:2) in
+  check "kanban" kb.Kanban.md kb.Kanban.exploration.Model.statespace
+    kb.Kanban.rewards_in_system kb.Kanban.initial;
+  let td = Tandem.build (Tandem.default ~jobs:1) in
+  check "tandem" td.Tandem.md td.Tandem.exploration.Model.statespace
+    td.Tandem.rewards_availability td.Tandem.initial
+
 let test_kanban_solver_race () =
   let b = Kanban.build (Kanban.default ~cards:2) in
   let ss = b.Kanban.exploration.Model.statespace in
@@ -417,5 +477,8 @@ let tests =
       test_kanban_merge_unlocks_cell_symmetry;
     Alcotest.test_case "tandem Table-1 shape (J=1)" `Slow test_tandem_table1_shape;
     Alcotest.test_case "tandem solver race (J=1)" `Slow test_tandem_solver_race;
+    Alcotest.test_case "tandem solver dispatch (J=2)" `Slow test_tandem_dispatch_j2;
+    Alcotest.test_case "product plan = co-walk on every model" `Quick
+      test_plan_matches_co_walk;
     Alcotest.test_case "kanban solver race" `Quick test_kanban_solver_race;
   ]

@@ -670,6 +670,35 @@ let test_explore_spans () =
        b0 phases);
   Trace.clear ()
 
+(* ----- solve spans ----- *)
+
+let test_solve_setup_span () =
+  (* A traced J = 1 Krylov solve: the plan compile, exit rates and
+     Jacobi diagonal run in [solve.setup], before [solver.krylov]; the
+     untraced solve records nothing and returns the same bits. *)
+  let b = Mdl_models.Tandem.build (Mdl_models.Tandem.default ~jobs:1) in
+  let ss = b.Mdl_models.Tandem.exploration.Mdl_san.Model.statespace in
+  let n0 = Trace.span_count () in
+  let plain, _ = Mdl_core.Md_solve.steady_state_krylov b.Mdl_models.Tandem.md ss in
+  Alcotest.(check int) "untraced solve records nothing" n0 (Trace.span_count ());
+  Trace.start ~gc:false ();
+  let traced, _ = Mdl_core.Md_solve.steady_state_krylov b.Mdl_models.Tandem.md ss in
+  Trace.stop ();
+  let spans = ref [] in
+  Trace.iter_events (fun ~name ~cat ~start_ns ~dur_ns ~depth:_ ~args:_ ->
+      spans := (name, cat, start_ns, Int64.add start_ns dur_ns) :: !spans);
+  let find n =
+    match List.find_opt (fun (m, _, _, _) -> m = n) !spans with
+    | Some s -> s
+    | None -> Alcotest.failf "%s span missing" n
+  in
+  let _, setup_cat, _, setup_end = find "solve.setup" in
+  let _, _, krylov_start, _ = find "solver.krylov" in
+  Alcotest.(check string) "setup category" "solve" setup_cat;
+  Alcotest.(check bool) "setup before the kernel" true (setup_end <= krylov_start);
+  Alcotest.(check bool) "same distribution" true (plain = traced);
+  Trace.clear ()
+
 (* ----- logging ----- *)
 
 let test_logging_levels () =
@@ -698,6 +727,7 @@ let tests =
     Alcotest.test_case "with_ctx install/restore" `Quick test_with_ctx_install;
     Alcotest.test_case "histogram snapshot" `Quick test_histogram_snapshot;
     Alcotest.test_case "metrics counters" `Quick test_metrics_counters;
+    Alcotest.test_case "solve.setup precedes the solver span" `Quick test_solve_setup_span;
     Alcotest.test_case "metrics gauges" `Quick test_metrics_gauges;
     Alcotest.test_case "log buckets" `Quick test_log_buckets;
     Alcotest.test_case "metrics histograms" `Quick test_metrics_histograms;

@@ -14,6 +14,7 @@ module Gen_md = Mdl_oracle.Gen_md
 module Gen_chain = Mdl_oracle.Gen_chain
 module Invariants = Mdl_oracle.Invariants
 module Oracle = Mdl_oracle.Oracle
+module Product_oracle = Mdl_oracle.Product_oracle
 module Qgen = Mdl_oracle.Qcheck_gen
 
 (* A 4-state chain with a planted symmetry: states 2 and 3 are
@@ -95,6 +96,19 @@ let qcheck_tests =
       (Qgen.model ()) (fun spec ->
         let o = Oracle.run ~inject:0.5 Oracle.Ordinary spec in
         List.mem_assoc "inject" o.Oracle.skipped || not (Oracle.ok o));
+    Test.make ~count:150 ~name:"product plan = reference co-walk on random subsets"
+      (pair (Qgen.model ()) small_nat) (fun (spec, seed) ->
+        let prng = Prng.of_seed seed in
+        let md = Gen_md.of_spec spec in
+        let ss = Product_oracle.random_subset (Prng.fork prng 0) md in
+        match Product_oracle.check ~what:"diagram" (Prng.fork prng 1) md ss with
+        | [], _ -> true
+        | vs, _ ->
+            Test.fail_reportf "%a" (Format.pp_print_list Invariants.pp_violation) vs);
+    Test.make ~count:100 ~name:"product oracle: a shifted plan column is always caught"
+      (Qgen.model ()) (fun spec ->
+        let o = Product_oracle.check_spec ~fault:Shift_col (Prng.of_seed 3) spec in
+        (not o.Product_oracle.injected) || o.Product_oracle.violations <> []);
     Test.make ~count:150 ~name:"generated diagrams are well-formed"
       (Qgen.md_model ()) (fun spec -> Invariants.md (Gen_md.of_spec spec) = []);
     Test.make ~count:150 ~name:"spec derivation is deterministic" (Qgen.md_model ())
