@@ -6,9 +6,11 @@
    (see Mdl_oracle.Oracle).  Every case also draws a random SAN model
    and checks symbolic state-space generation, the lumped state space
    and the closure test against explicit references
-   (Mdl_oracle.Explore_oracle), and checks the compiled product plan of
-   its diagram and of its lumped quotient, over a random reachable
-   subset, against the reference co-walk (Mdl_oracle.Product_oracle).
+   (Mdl_oracle.Explore_oracle) and its matrix diagram against the
+   reference builder (Mdl_oracle.Build_oracle), and checks the compiled
+   product plan of its diagram and of its lumped quotient, over a
+   random reachable subset, against the reference co-walk
+   (Mdl_oracle.Product_oracle).
    Deterministic: one master --seed drives the whole run, and every
    case prints a spec that reproduces it.
 
@@ -73,7 +75,12 @@ let run_fuzz count seed max_levels modes sanity domains verbose =
     (* A fork, so the SAN draw leaves the lumping case's stream untouched. *)
     let san_seed = Explore_oracle.draw_seed (Prng.fork prng 1) in
     let faults =
-      if sanity then [ Some Explore_oracle.Swap_index; Some Explore_oracle.Flip_closure ]
+      if sanity then
+        [
+          Some Explore_oracle.Swap_index;
+          Some Explore_oracle.Flip_closure;
+          Some Explore_oracle.Flip_coefficient;
+        ]
       else [ None ]
     in
     List.iter
@@ -199,7 +206,7 @@ let mode_arg =
 let sanity_arg =
   Arg.(value & flag
        & info [ "sanity" ]
-           ~doc:"Oracle self-test: inject a rate perturbation into every lumped matrix, an index swap and a flipped closure verdict into every exploration check, and a shifted column offset into every product plan, and require the oracle to catch each.")
+           ~doc:"Oracle self-test: inject a rate perturbation into every lumped matrix, an index swap, a flipped closure verdict and a flipped coefficient bit in the built diagram into every exploration check, and a shifted column offset into every product plan, and require the oracle to catch each.")
 
 let domains_arg =
   let domains_conv =

@@ -112,7 +112,7 @@ let rebuild_body ?stats ?(incremental = true) ?pool ?(par_threshold = 1024) mode
       else if incremental then begin
         (* Fast quotient build: flat class-indexed accumulation emitted
            through the raw sorted-rows constructor, skipping
-           [add_node]'s per-entry hashing/validation/sort.  Entries are
+           [add_node]'s per-entry validation/sort.  Entries are
            folded in {e descending} (row, col) order — the order
            [add_node] combines a consed entry list in — so the
            floating-point coefficients come out bit-identical to the

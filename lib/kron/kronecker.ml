@@ -61,11 +61,23 @@ let to_md t =
       if level > nlevels then Md.terminal md
       else
         let child = build (level + 1) in
-        let entries = ref [] in
-        Csr.iter
-          (fun r c v -> entries := (r, c, Formal_sum.singleton child v) :: !entries)
-          e.locals.(level - 1);
-        Md.add_node md ~level !entries
+        (* CSR rows are column-sorted with unique columns: they are the
+           node's rows once zero entries are dropped.  Sums are
+           immutable, so a run of equal values (an identity's 1s)
+           shares one. *)
+        let w = e.locals.(level - 1) in
+        let last = ref (Formal_sum.singleton child 1.0) in
+        let sum v =
+          if Formal_sum.coeff !last child <> v then last := Formal_sum.singleton child v;
+          !last
+        in
+        let rows =
+          Array.init (Csr.rows w) (fun r ->
+              let row = ref [] in
+              Csr.iter_row w r (fun c v -> if v <> 0.0 then row := (c, sum v) :: !row);
+              Array.of_list (List.rev !row))
+        in
+        Md.add_node_sorted_rows md ~level rows
     in
     build 2
   in

@@ -37,7 +37,10 @@ val identity_local : int -> Mdl_sparse.Csr.t
 val to_md : t -> Mdl_md.Md.t
 (** Build the matrix diagram representing the same matrix: one node
     chain per event, root entries carrying [lambda_e] into the level-1
-    coefficients; shared suffixes merge by quasi-reduction. *)
+    coefficients; shared suffixes merge by quasi-reduction.  Below the
+    root each local matrix's CSR rows become the node's rows directly;
+    the root folds the events' colliding entries with
+    {!Mdl_md.Md.add_node}. *)
 
 val vec_mul : t -> Mdl_sparse.Vec.t -> Mdl_sparse.Vec.t
 (** [vec_mul k x] is the row-vector product [x * R] over the {e

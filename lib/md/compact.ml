@@ -6,6 +6,26 @@ module Sum_table = Hashtbl.Make (struct
   let hash (l, s) = Mdl_util.Hashx.combine l (Formal_sum.hash s)
 end)
 
+(* [f] over a row's sums in column order; entries whose image is empty
+   are dropped. *)
+let map_row f row =
+  let out = Array.map (fun (c, s) -> (c, f s)) row in
+  let keep (_, s) = not (Formal_sum.is_empty s) in
+  if Array.for_all keep out then out else Array.of_list (List.filter keep (Array.to_list out))
+
+(* The weighted sum of rows [(c, row)], in term order.  A lone
+   nonempty row is already sorted with one sum per column. *)
+let sum_rows parts =
+  match List.filter (fun (_, row) -> Array.length row > 0) parts with
+  | [] -> [||]
+  | [ (c, row) ] -> map_row (Formal_sum.scale c) row
+  | parts ->
+      Md.fold_row
+        (Array.concat
+           (List.map
+              (fun (c, row) -> Array.map (fun (cc, s) -> (cc, Formal_sum.scale c s)) row)
+              parts))
+
 let merge_terms md =
   let out = Md.create ~sizes:(Md.sizes md) in
   let nlevels = Md.levels md in
@@ -20,41 +40,32 @@ let merge_terms md =
       | [] -> Formal_sum.empty
       | [ (n, c) ] -> Formal_sum.singleton (convert_node n) c
       | terms -> Formal_sum.singleton (convert_merged level terms) 1.0
+  (* Emit rows over OLD children as a NEW node, converting the sums in
+     row-major order. *)
+  and emit level rows =
+    Md.add_node_sorted_rows out ~level (Array.map (map_row (convert_sum (level + 1))) rows)
   (* Convert one old node as-is (entries converted recursively). *)
   and convert_node n =
     match Hashtbl.find_opt node_memo n with
     | Some id -> id
     | None ->
-        let level = Md.node_level md n in
-        let entries = ref [] in
-        Md.iter_node_entries md n (fun r c s ->
-            entries := (r, c, convert_sum (level + 1) s) :: !entries);
-        let id = Md.add_node out ~level !entries in
+        let id = emit (Md.node_level md n) (Md.node_rows md n) in
         Hashtbl.add node_memo n id;
         id
   (* Build the node representing the weighted sum of several old nodes
-     at [level]. *)
+     at [level]: row by row, the scaled rows in term order, folded per
+     column. *)
   and convert_merged level terms =
     let key = (level, Formal_sum.of_list terms) in
     match Sum_table.find_opt merge_memo key with
     | Some id -> id
     | None ->
-        let combined : (int * int, Formal_sum.t) Hashtbl.t = Hashtbl.create 64 in
-        List.iter
-          (fun (n, c) ->
-            Md.iter_node_entries md n (fun r cc s ->
-                let prev =
-                  Option.value ~default:Formal_sum.empty
-                    (Hashtbl.find_opt combined (r, cc))
-                in
-                Hashtbl.replace combined (r, cc) (Formal_sum.add prev (Formal_sum.scale c s))))
-          terms;
-        let entries =
-          Hashtbl.fold
-            (fun (r, cc) s acc -> (r, cc, convert_sum (level + 1) s) :: acc)
-            combined []
+        let parts = List.map (fun (n, c) -> (c, Md.node_rows md n)) terms in
+        let rows =
+          Array.init (Md.size md level) (fun r ->
+              sum_rows (List.map (fun (c, rows) -> (c, rows.(r))) parts))
         in
-        let id = Md.add_node out ~level entries in
+        let id = emit level rows in
         Sum_table.add merge_memo key id;
         id
   in
@@ -73,41 +84,37 @@ let normalize md =
     match Hashtbl.find_opt memo n with
     | Some r -> r
     | None ->
-        let level = Md.node_level md n in
-        (* Convert entries first (children normalised bottom-up). *)
-        let entries = ref [] in
-        Md.iter_node_entries md n (fun r c s ->
-            let s' =
-              Formal_sum.of_list
-                (List.map
-                   (fun (child, w) ->
+        (* Convert entries first (children normalised bottom-up), in
+           row-major order. *)
+        let rows =
+          Array.map
+            (map_row (fun s ->
+                 match Formal_sum.terms s with
+                 | [ (child, w) ] ->
                      let child', scale = convert child in
-                     (child', w *. scale))
-                   (Formal_sum.terms s))
-            in
-            if not (Formal_sum.is_empty s') then entries := (r, c, s') :: !entries);
+                     Formal_sum.singleton child' (w *. scale)
+                 | terms ->
+                     Formal_sum.of_list
+                       (List.map
+                          (fun (child, w) ->
+                            let child', scale = convert child in
+                            (child', w *. scale))
+                          terms)))
+            (Md.node_rows md n)
+        in
         (* Canonical factor: the first nonzero coefficient in row-major,
            column-major, child-id order. *)
-        let ordered =
-          List.sort
-            (fun (r1, c1, _) (r2, c2, _) -> compare (r1, c1) (r2, c2))
-            !entries
-        in
         let gamma =
-          match ordered with
-          | [] -> 1.0
-          | (_, _, s) :: _ -> (
-              match Formal_sum.terms s with
-              | (_, w) :: _ -> w
-              | [] -> 1.0)
+          match Array.find_opt (fun row -> Array.length row > 0) rows with
+          | None -> 1.0
+          | Some row -> (
+              match Formal_sum.terms (snd row.(0)) with (_, w) :: _ -> w | [] -> 1.0)
         in
-        let scaled =
-          if gamma = 1.0 then ordered
-          else
-            List.map (fun (r, c, s) -> (r, c, Formal_sum.scale (1.0 /. gamma) s)) ordered
-        in
-        let id = Md.add_node out ~level scaled in
-        let result = (id, gamma) in
+        if gamma <> 1.0 then
+          Array.iteri
+            (fun r row -> rows.(r) <- map_row (Formal_sum.scale (1.0 /. gamma)) row)
+            rows;
+        let result = (Md.add_node_sorted_rows out ~level:(Md.node_level md n) rows, gamma) in
         Hashtbl.add memo n result;
         result
   in
@@ -119,10 +126,7 @@ let normalize md =
   else begin
     (* Reapply the extracted root factor so the represented matrix is
        unchanged: scale every root entry back. *)
-    let entries = ref [] in
-    Md.iter_node_entries out root (fun r c s ->
-        entries := (r, c, Formal_sum.scale root_scale s) :: !entries);
-    let root' = Md.add_node out ~level:1 !entries in
-    Md.set_root out root';
+    let rows = Array.map (map_row (Formal_sum.scale root_scale)) (Md.node_rows out root) in
+    Md.set_root out (Md.add_node_sorted_rows out ~level:1 rows);
     out
   end

@@ -19,7 +19,13 @@
 
 val merge_terms : Md.t -> Md.t
 (** Equivalent diagram (same represented matrix, same level sizes) in
-    slice form.  @raise Invalid_argument if the input has no root. *)
+    slice form.  Built row by row: a merged node's row [r] concatenates
+    row [r] of each child in term order, each entry scaled by its term's
+    coefficient, stably sorts them by column and folds each column's
+    sums with {!Formal_sum.add} in that order; the converted rows go to
+    {!Md.add_node_sorted_rows}.  New nodes are created in row-major
+    order of the entries that reference them.
+    @raise Invalid_argument if the input has no root. *)
 
 val normalize : Md.t -> Md.t
 (** Canonical coefficient scaling, after Miner's canonical MDs (the
@@ -31,4 +37,7 @@ val normalize : Md.t -> Md.t
     sums denoting equal matrices through proportional nodes become
     structurally equal (see the "sufficiency gap" discussion in
     Section 4 of the paper).  Represents the same matrix; level sizes
-    unchanged. *)
+    unchanged.  Works on each node's row table directly: the rows are
+    mapped (children first, in row-major order), the factor is the
+    first coefficient of the first nonempty row, and the scaled rows go
+    to {!Md.add_node_sorted_rows} — no entry list and no re-sort. *)

@@ -33,10 +33,32 @@ let of_list l =
 
 let terms t = Array.to_list t
 
-let add a b = of_list (terms a @ terms b)
+(* Sorted by id, ids unique, no zero coefficient: the invariant every
+   constructor establishes. *)
+let canonical t =
+  let rec loop i =
+    i >= Array.length t
+    ||
+    let n, c = t.(i) in
+    c <> 0.0 && (i = 0 || fst t.(i - 1) < n) && loop (i + 1)
+  in
+  loop 0
+
+(* A canonical side added to nothing is returned as is: the row-wise
+   builders start every position's fold from [empty]. *)
+let add a b =
+  if is_empty a && canonical b then b
+  else if is_empty b && canonical a then a
+  else of_list (terms a @ terms b)
 
 let scale alpha t =
-  if alpha = 0.0 then empty else Array.map (fun (n, c) -> (n, alpha *. c)) t
+  if alpha = 0.0 then empty
+  else if alpha = 1.0 then t
+  else
+    let s = Array.map (fun (n, c) -> (n, alpha *. c)) t in
+    (* A product that underflows to [0.] is dropped, as [of_list] would. *)
+    if Array.for_all (fun (_, c) -> c <> 0.0) s then s
+    else Array.of_list (List.filter (fun (_, c) -> c <> 0.0) (Array.to_list s))
 
 let sum l = of_list (List.concat_map terms l)
 

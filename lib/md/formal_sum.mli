@@ -24,8 +24,15 @@ val terms : t -> (int * float) list
 (** Canonical term list (ascending node id). *)
 
 val add : t -> t -> t
+(** Sum; a term present on both sides gets [ca +. cb], and terms that
+    cancel to [0.] drop out.  Adding to {!empty} returns the other side
+    itself, without a copy. *)
 
 val scale : float -> t -> t
+(** [scale alpha s] multiplies every coefficient by [alpha] and keeps
+    the canonical form: a term whose product is [0.] (always when
+    [alpha = 0.], or on underflow) drops out, so a sum scaled to nothing
+    {!is_empty} and is {!equal} to {!empty}. *)
 
 val sum : t list -> t
 

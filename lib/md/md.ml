@@ -77,11 +77,36 @@ let node t id =
 
 let node_level t id = (node t id).level
 
+let intern t candidate =
+  match Cons_table.find_opt t.cons candidate with
+  | Some id -> id
+  | None ->
+      let id = Dynarray.length t.nodes in
+      Dynarray.push t.nodes candidate;
+      Cons_table.add t.cons candidate id;
+      id
+
+let fold_row a =
+  Array.stable_sort (fun (c1, _) (c2, _) -> Int.compare c1 c2) a;
+  let out = ref [] in
+  let len = Array.length a in
+  let i = ref 0 in
+  while !i < len do
+    let c, s = a.(!i) in
+    let acc = ref (Formal_sum.add Formal_sum.empty s) in
+    incr i;
+    while !i < len && fst a.(!i) = c do
+      acc := Formal_sum.add !acc (snd a.(!i));
+      incr i
+    done;
+    if not (Formal_sum.is_empty !acc) then out := (c, !acc) :: !out
+  done;
+  Array.of_list (List.rev !out)
+
 let add_node t ~level entries =
   if level < 1 || level > t.nlevels then invalid_arg "Md.add_node: level out of range";
   let n = t.level_sizes.(level - 1) in
-  (* Combine duplicate positions and validate. *)
-  let by_pos = Hashtbl.create (List.length entries) in
+  let rows = Array.make n [] in
   List.iter
     (fun (r, c, s) ->
       if r < 0 || r >= n || c < 0 || c >= n then
@@ -96,35 +121,15 @@ let add_node t ~level entries =
               (Printf.sprintf
                  "Md.add_node: child %d has level %d, expected %d" child cl (level + 1)))
         (Formal_sum.children s);
-      let prev = Option.value ~default:Formal_sum.empty (Hashtbl.find_opt by_pos (r, c)) in
-      Hashtbl.replace by_pos (r, c) (Formal_sum.add prev s))
+      rows.(r) <- (c, s) :: rows.(r))
     entries;
-  let rows = Array.make n [] in
-  Hashtbl.iter
-    (fun (r, c) s -> if not (Formal_sum.is_empty s) then rows.(r) <- (c, s) :: rows.(r))
-    by_pos;
-  let rows =
-    Array.map
-      (fun l ->
-        let a = Array.of_list l in
-        Array.sort (fun (c1, _) (c2, _) -> compare c1 c2) a;
-        a)
-      rows
-  in
-  let candidate = { level; rows } in
-  match Cons_table.find_opt t.cons candidate with
-  | Some id -> id
-  | None ->
-      let id = Dynarray.length t.nodes in
-      Dynarray.push t.nodes candidate;
-      Cons_table.add t.cons candidate id;
-      id
+  intern t { level; rows = Array.map (fun l -> fold_row (Array.of_list (List.rev l))) rows }
 
 (* Import a node of [src] into [t] verbatim, remapping child references.
    The fast path of the incremental lumped rebuild: the source node's
    rows are already combined, validated and column-sorted, and remapping
-   preserves column order, so the Hashtbl/validation/sort work of
-   [add_node] is skipped.  Children may merge under [remap]
+   preserves column order, so the validation/sort work of [add_node]
+   is skipped.  Children may merge under [remap]
    (Formal_sum.map_children combines them); entries whose sum cancels
    away are dropped.  The result is still hash-consed, so importing a
    node twice (or importing a node equal to an [add_node] product)
@@ -146,14 +151,7 @@ let import_node t ~level src src_id remap =
              (Array.to_list row)))
       nd.rows
   in
-  let candidate = { level; rows } in
-  (match Cons_table.find_opt t.cons candidate with
-  | Some id -> id
-  | None ->
-      let id = Dynarray.length t.nodes in
-      Dynarray.push t.nodes candidate;
-      Cons_table.add t.cons candidate id;
-      id)
+  intern t { level; rows }
 
 (* Raw constructor used by the incremental rebuild: the caller has
    already combined duplicate positions, dropped empty sums and sorted
@@ -164,14 +162,7 @@ let add_node_sorted_rows t ~level rows =
     invalid_arg "Md.add_node_sorted_rows: level out of range";
   if Array.length rows <> t.level_sizes.(level - 1) then
     invalid_arg "Md.add_node_sorted_rows: row count does not match the level size";
-  let candidate = { level; rows } in
-  match Cons_table.find_opt t.cons candidate with
-  | Some id -> id
-  | None ->
-      let id = Dynarray.length t.nodes in
-      Dynarray.push t.nodes candidate;
-      Cons_table.add t.cons candidate id;
-      id
+  intern t { level; rows }
 
 (* Structural equality of rooted diagrams.  Node ids are store-local and
    the canonical term order of a formal sum follows the local ids, so
@@ -230,6 +221,8 @@ let root t =
   match t.root_id with
   | Some id -> id
   | None -> invalid_arg "Md.root: no root set"
+
+let node_rows t id = (node t id).rows
 
 let node_row t id r =
   let nd = node t id in

@@ -40,11 +40,21 @@ val terminal : t -> node_id
 val add_node : t -> level:int -> (int * int * Formal_sum.t) list -> node_id
 (** [add_node t ~level entries] creates (or finds) the node at [level]
     whose entry at [(row, col)] is the given formal sum; entries listed
-    twice for the same position are summed, empty sums dropped.
-    Children referenced by the sums must already exist and live at
-    [level + 1] (the terminal for [level = L]).
+    twice for the same position are summed, empty sums dropped.  Each
+    position's sums are added with {!Formal_sum.add} in list order,
+    starting from {!Formal_sum.empty} ([add (add (add empty s1) s2) s3]
+    for three entries at one position), which fixes the floating-point
+    result.  Children referenced by the sums must already exist and live
+    at [level + 1] (the terminal for [level = L]).
     @raise Invalid_argument on bad level, out-of-range row/col, or
     wrong-level children. *)
+
+val fold_row : (int * Formal_sum.t) array -> (int * Formal_sum.t) array
+(** [fold_row entries] is one row in the form {!add_node_sorted_rows}
+    takes: the [(col, sum)] entries stably sorted by column, each
+    column's sums added as {!add_node} adds a position's (array order,
+    from {!Formal_sum.empty}), empty sums dropped.  Sorts [entries] in
+    place. *)
 
 val add_node_sorted_rows : t -> level:int -> (int * Formal_sum.t) array array -> node_id
 (** Raw hash-consing constructor: [rows] becomes the node's row table
@@ -52,17 +62,19 @@ val add_node_sorted_rows : t -> level:int -> (int * Formal_sum.t) array array ->
     column with in-range columns, duplicate positions already combined,
     no empty sums, every child an existing node at [level + 1] — and the
     caller must not retain or mutate [rows] afterwards (the node owns
-    it).  This skips the per-entry hashing, validation and sorting of
-    {!add_node}; the incremental rebuild uses it for freshly accumulated
-    quotient rows.  @raise Invalid_argument on a bad level or row
-    count. *)
+    it).  This skips the validation, sorting and folding of
+    {!add_node}; the row-wise builders ([Compact], the Kronecker
+    compiler) and the incremental rebuild use it for rows they produce
+    already in this form.  A node built either way from the same
+    entries gets the same id.  @raise Invalid_argument on a bad level
+    or row count. *)
 
 val import_node : t -> level:int -> t -> node_id -> (node_id -> node_id) -> node_id
 (** [import_node t ~level src id remap] copies node [id] of the diagram
     [src] into [t] at [level], applying [remap] to every child
     reference.  The incremental-rebuild fast path: the source node's
     rows are already combined, validated and column-sorted, so unlike
-    {!add_node} no per-entry hashing, validation or sorting is done —
+    {!add_node} no per-entry validation, sorting or folding is done —
     only the child remap (which may merge terms) and the hash-consing
     lookup.  {b Precondition}: [remap] must send every child of the
     source node to an existing node of [t] at [level + 1] (the terminal
@@ -92,6 +104,11 @@ val root : t -> node_id
 (** @raise Invalid_argument if no root has been set. *)
 
 val node_level : t -> node_id -> int
+
+val node_rows : t -> node_id -> (int * Formal_sum.t) array array
+(** The node's row table itself, in the form {!add_node_sorted_rows}
+    takes: row [r] holds its entries by ascending column.  Shared with
+    the node — read it, never mutate it. *)
 
 val node_row : t -> node_id -> int -> (int * Formal_sum.t) list
 (** Entries of one row, ascending column order. *)

@@ -59,7 +59,7 @@ let is_closed r ss =
     ss;
   Hashtbl.fold (fun ct n ok -> ok && n = Compositional.class_volume r ct) counts true
 
-type fault = Swap_index | Flip_closure
+type fault = Swap_index | Flip_closure | Flip_coefficient
 
 type outcome = {
   model : string;
@@ -87,8 +87,14 @@ let check ?fault seed =
   let e2 = Model.explore_symbolic ~max_states:100_000 m in
   let ss1 = e1.Model.statespace and ss2 = e2.Model.statespace in
   let n = Statespace.size ss2 in
+  let md = Model.md_of e2 in
+  let entries = Build_oracle.num_entries md in
   let injected =
-    match fault with Some Swap_index -> n >= 2 | Some Flip_closure -> true | None -> false
+    match fault with
+    | Some Swap_index -> n >= 2
+    | Some Flip_closure -> true
+    | Some Flip_coefficient -> entries > 0
+    | None -> false
   in
   let sym_index s =
     match (fault, Statespace.index ss2 s) with
@@ -109,7 +115,13 @@ let check ?fault seed =
         if Statespace.index ss1 (Statespace.tuple ss1 i) <> Some i then
           fail "index" "explicit index of state %d wrong" i)
       ss1;
-  let md = Model.md_of e2 in
+  let built =
+    if fault = Some Flip_coefficient && entries > 0 then
+      Build_oracle.flip_bit md (seed mod entries)
+    else md
+  in
+  let reference = Build_oracle.md_of e2.Model.descriptor in
+  violations := List.rev_append (Build_oracle.check built ~reference) !violations;
   if not (Csr.equal (Md_vector.to_csr (Model.md_of e1) ss1) (Md_vector.to_csr md ss2)) then
     fail "flatten" "flattened matrices differ";
   (* Partitions: the lumping result's (a protected level-1 reward), and

@@ -12,6 +12,9 @@
       [tuple] in both spaces;
     - {b flatten}: the two diagrams flatten ({!Mdl_md.Md_vector.to_csr})
       to bit-identical matrices;
+    - {b build}: {!Mdl_san.Model.md_of} equals the reference builder's
+      diagram ({!Build_oracle.md_of} of the descriptor), node ids
+      included;
     - {b lump-statespace} / {b closure}: the symbolic per-level
       relabel-and-union and weighted-count closure agree with
       {!lump_statespace} and {!is_closed} under the lumping result's
@@ -45,6 +48,9 @@ val is_closed : Mdl_core.Compositional.result -> Mdl_md.Statespace.t -> bool
 type fault =
   | Swap_index  (** the symbolic space answers indices 0 and 1 swapped *)
   | Flip_closure  (** the symbolic closure verdict is negated *)
+  | Flip_coefficient
+      (** one coefficient of the built diagram has its lowest bit
+          flipped ({!Build_oracle.flip_bit}) before the [build] check *)
 
 type outcome = {
   model : string;  (** the reproduction seed *)

@@ -308,5 +308,11 @@ let local_index exp l s =
   search 0 (Array.length space)
 
 let md_of exp =
-  Mdl_md.Compact.normalize
-    (Mdl_md.Compact.merge_terms (Mdl_kron.Kronecker.to_md exp.descriptor))
+  Trace.with_span ~cat:"md" "md.build" @@ fun () ->
+  let md =
+    Trace.with_span ~cat:"md" "md.kron" (fun () -> Mdl_kron.Kronecker.to_md exp.descriptor)
+  in
+  let md =
+    Trace.with_span ~cat:"md" "md.merge_terms" (fun () -> Mdl_md.Compact.merge_terms md)
+  in
+  Trace.with_span ~cat:"md" "md.normalize" (fun () -> Mdl_md.Compact.normalize md)

@@ -96,4 +96,6 @@ val md_of : exploration -> Mdl_md.Md.t
     followed by {!Mdl_md.Compact.merge_terms} (parallel events merge
     into per-slice nodes, so replica symmetries become visible to the
     per-node lumping conditions) and {!Mdl_md.Compact.normalize}
-    (canonical coefficient scaling, merging proportional nodes). *)
+    (canonical coefficient scaling, merging proportional nodes).  Traced
+    as an [md.build] span (category [md]) with one child span per pass:
+    [md.kron], [md.merge_terms], [md.normalize]. *)

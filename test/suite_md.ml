@@ -29,6 +29,33 @@ let test_fsum_algebra () =
   Alcotest.(check bool) "scale 0 empties" true (Formal_sum.is_empty (Formal_sum.scale 0.0 a));
   Alcotest.(check (list int)) "children" [ 1; 2; 3 ] (Formal_sum.children s)
 
+let test_fsum_scale_underflow () =
+  (* 1e-300 * 1e-300 underflows to 0.: the term must drop out, leaving
+     the canonical empty sum rather than a one-term sum holding 0. *)
+  let s = Formal_sum.scale 1e-300 (Formal_sum.singleton 0 1e-300) in
+  Alcotest.(check bool) "is_empty" true (Formal_sum.is_empty s);
+  Alcotest.(check bool) "equal to empty" true (Formal_sum.equal s Formal_sum.empty);
+  let mixed = Formal_sum.scale 1e-300 (Formal_sum.of_list [ (0, 1e-300); (1, 2.0) ]) in
+  Alcotest.(check (list (pair int (float 0.0)))) "only the underflowed term drops"
+    [ (1, 2e-300) ] (Formal_sum.terms mixed)
+
+let test_scaled_rows_one_node () =
+  (* The same scaled rows through [add_node] (which drops empty sums)
+     and through [add_node_sorted_rows] (which takes rows as given, so
+     the row builders drop empty sums themselves) must hash-cons to one
+     node. *)
+  let md = Md.create ~sizes:[| 2 |] in
+  let scaled = Formal_sum.scale 1e-300 (Md.scalar_sum md 1e-300) in
+  let one = Md.scalar_sum md 1.0 in
+  let by_list = Md.add_node md ~level:1 [ (0, 0, scaled); (1, 1, one) ] in
+  let row entries =
+    Array.of_list (List.filter (fun (_, s) -> not (Formal_sum.is_empty s)) entries)
+  in
+  let by_rows =
+    Md.add_node_sorted_rows md ~level:1 [| row [ (0, scaled) ]; row [ (1, one) ] |]
+  in
+  Alcotest.(check int) "one id" by_list by_rows
+
 let test_fsum_map_children_merge () =
   let a = Formal_sum.of_list [ (1, 1.0); (2, 2.0); (3, 3.0) ] in
   let mapped = Formal_sum.map_children (fun n -> if n <= 2 then 10 else 20) a in
@@ -786,6 +813,8 @@ let tests =
   [
     Alcotest.test_case "fsum canonical" `Quick test_fsum_canonical;
     Alcotest.test_case "fsum algebra" `Quick test_fsum_algebra;
+    Alcotest.test_case "fsum scale drops underflowed terms" `Quick test_fsum_scale_underflow;
+    Alcotest.test_case "scaled rows hash-cons to one node" `Quick test_scaled_rows_one_node;
     Alcotest.test_case "fsum map_children merge" `Quick test_fsum_map_children_merge;
     Alcotest.test_case "fsum equality/hash" `Quick test_fsum_equality_hash;
     Alcotest.test_case "md flatten" `Quick test_md_flatten;

@@ -670,6 +670,42 @@ let test_explore_spans () =
        b0 phases);
   Trace.clear ()
 
+let test_md_build_spans () =
+  (* A traced J = 1 build: the three MD passes run in order, directly
+     inside [md.build] (category [md]); the untraced build records
+     nothing and yields the same diagram, node ids included. *)
+  let p = Mdl_models.Tandem.default ~jobs:1 in
+  let n0 = Trace.span_count () in
+  let plain = (Mdl_models.Tandem.build p).Mdl_models.Tandem.md in
+  Alcotest.(check int) "untraced build records nothing" n0 (Trace.span_count ());
+  Trace.start ~gc:false ();
+  let traced = (Mdl_models.Tandem.build p).Mdl_models.Tandem.md in
+  Trace.stop ();
+  let spans = ref [] in
+  Trace.iter_events (fun ~name ~cat ~start_ns ~dur_ns ~depth ~args:_ ->
+      spans := (name, cat, start_ns, Int64.add start_ns dur_ns, depth) :: !spans);
+  let find n =
+    match List.find_opt (fun (m, _, _, _, _) -> m = n) !spans with
+    | Some s -> s
+    | None -> Alcotest.failf "%s span missing" n
+  in
+  let _, bcat, b0, b1, bdepth = find "md.build" in
+  Alcotest.(check string) "md.build category" "md" bcat;
+  let passes = List.map find [ "md.kron"; "md.merge_terms"; "md.normalize" ] in
+  ignore
+    (List.fold_left
+       (fun prev_end (n, cat, t0, t1, depth) ->
+         Alcotest.(check string) (n ^ " category") "md" cat;
+         Alcotest.(check int) (n ^ " nested in md.build") (bdepth + 1) depth;
+         Alcotest.(check bool) (n ^ " inside md.build") true (t0 >= b0 && t1 <= b1);
+         Alcotest.(check bool) (n ^ " after the previous pass") true (t0 >= prev_end);
+         t1)
+       b0 passes);
+  Alcotest.(check bool) "same diagram" true (Mdl_md.Md.equal plain traced);
+  Alcotest.(check bool) "same node ids" true
+    (Mdl_md.Md.live_nodes plain = Mdl_md.Md.live_nodes traced);
+  Trace.clear ()
+
 (* ----- solve spans ----- *)
 
 let test_solve_setup_span () =
@@ -737,5 +773,6 @@ let tests =
     Alcotest.test_case "transient metrics pin" `Quick test_transient_metrics_pin;
     Alcotest.test_case "tracing changes no output" `Quick test_tracing_changes_nothing;
     Alcotest.test_case "generation spans" `Quick test_explore_spans;
+    Alcotest.test_case "md.build spans" `Quick test_md_build_spans;
     Alcotest.test_case "logging levels" `Quick test_logging_levels;
   ]
