@@ -1,32 +1,28 @@
-(* Benchmark of the partition-refinement key pipelines.
+(* Benchmark of the partition-refinement engines.
 
-   Flat scenarios race three engines on the same spec — the seed's
-   list-based [Refiner_reference], the in-place core through the generic
-   closure pipeline, and the monomorphic float pipeline — check that all
-   three compute the same fixed point, and fail if the float pipeline
-   does not beat the generic one (or the in-place core regresses against
-   the seed).
+   Flat scenarios race the seed's list-based engine (the oracle's
+   [Refine_oracle.comp_lumping]) against the monomorphic float pipeline
+   on the same keys, check that both compute the same fixed point, and
+   fail if the float pipeline is slower than the seed.
 
    Multi-level scenarios time [Compositional.lump] end to end (per-level
-   initial partitions, fixed-point refinement, diagram rebuild) in three
-   configurations: the generic closure pipeline, the interned-key
-   pipeline without memoisation (the pre-cache baseline, from-scratch
-   rebuild), and the memoised pipeline (key cache + singleton skip +
-   incremental rebuild) sharing one [Key_cache] — and hence one hot
-   intern table — across every multi-level scenario.  All three must
-   produce identical partitions, and the cached run's lumped diagram
-   must be structurally equal to the uncached one; the cached run
-   slower than the interned baseline is a regression.
+   initial partitions, fixed-point refinement through the key cache and
+   the ranked pipeline, incremental diagram rebuild) with one
+   [Key_cache] shared across every multi-level scenario, and check the
+   result against the oracle's reference lump (seed engine on uncached
+   keys, from-scratch rebuild): equal partitions and a structurally
+   equal lumped diagram.
 
-   Every scenario records the refiner's per-pipeline counters.  Results
-   go to BENCH_refine.json (schema checked by
-   scripts/check_bench_schema.py in CI).
+   Every scenario records the registry's refiner counters for one
+   instrumented run.  Results go to BENCH_refine.json (schema checked
+   by scripts/check_bench_schema.py in CI).
 
    Usage: dune exec bench/refine.exe [-- --smoke] [-- --out FILE] *)
 
 module Partition = Mdl_partition.Partition
 module Refiner = Mdl_partition.Refiner
-module Refiner_reference = Mdl_partition.Refiner_reference
+module Refine_oracle = Mdl_oracle.Refine_oracle
+module Metrics = Mdl_obs.Metrics
 module State_lumping = Mdl_lumping.State_lumping
 module Compositional = Mdl_core.Compositional
 module Md_solve = Mdl_core.Md_solve
@@ -43,7 +39,7 @@ type flat_scenario = {
   name : string;
   states : int;
   nnz : int;
-  spec : float Refiner.spec;
+  spec : float Refine_oracle.spec;
   fspec : Refiner.float_spec;
   initial : Partition.t;
 }
@@ -80,30 +76,45 @@ let min_time ~repeats f =
   done;
   (Option.get !out, !best)
 
-let stats_json s =
-  Printf.sprintf
-    {|"stats": {
-        "splitter_passes": %d,
-        "key_evals": %d,
-        "splits": %d,
-        "blocks_created": %d,
-        "largest_skips": %d,
-        "float_passes": %d,
-        "interned_passes": %d,
-        "counting_sort_passes": %d,
-        "fallback_passes": %d,
-        "intern_keys": %d,
-        "cache_hits": %d,
-        "cache_misses": %d,
-        "nodes_rebuilt": %d,
-        "nodes_reused": %d,
-        "wall_s": %.6f
-      }|}
-    s.Refiner.splitter_passes s.Refiner.key_evals s.Refiner.splits
-    s.Refiner.blocks_created s.Refiner.largest_skips s.Refiner.float_passes
-    s.Refiner.interned_passes s.Refiner.counting_sort_passes s.Refiner.fallback_passes
-    s.Refiner.intern_keys s.Refiner.cache_hits s.Refiner.cache_misses
-    s.Refiner.nodes_rebuilt s.Refiner.nodes_reused s.Refiner.wall_s
+(* The registry counters of one instrumented run of [f], as the
+   scenario's "stats" object.  The registry is reset and switched on for
+   the run (so the [intern_keys] high-water gauge is this run's) and
+   its previous switch restored after; [wall_s] is the run's total
+   refiner wall time. *)
+let stats_counters =
+  [
+    ("splitter_passes", "refiner.splitter_passes");
+    ("key_evals", "refiner.key_evals");
+    ("splits", "refiner.splits");
+    ("blocks_created", "refiner.blocks_created");
+    ("largest_skips", "refiner.largest_skips");
+    ("float_passes", "refiner.float_passes");
+    ("interned_passes", "refiner.interned_passes");
+    ("counting_sort_passes", "refiner.counting_sort_passes");
+    ("cache_hits", "key_cache.hits");
+    ("cache_misses", "key_cache.misses");
+    ("nodes_rebuilt", "rebuild.nodes_rebuilt");
+    ("nodes_reused", "rebuild.nodes_reused");
+  ]
+
+let with_stats f =
+  let was_enabled = Metrics.enabled () in
+  Metrics.reset ();
+  Metrics.set_enabled true;
+  let r = f () in
+  Metrics.set_enabled was_enabled;
+  let fields =
+    List.map
+      (fun (field, n) -> Printf.sprintf {|"%s": %d|} field (Metrics.counter_value n))
+      stats_counters
+    @ [
+        Printf.sprintf {|"intern_keys": %.0f|} (Metrics.gauge_value "refiner.intern_alphabet");
+        Printf.sprintf {|"wall_s": %.6f|} (snd (Metrics.histogram_stats "refiner.run_seconds"));
+      ]
+  in
+  (r, Printf.sprintf {|"stats": {
+        %s
+      }|} (String.concat ",\n        " fields))
 
 (* Per-phase rollup of the spans one instrumented lump produced
    ([from] = span count before it ran).  Inclusive seconds, so [total_s]
@@ -132,7 +143,7 @@ let chain_scenario ~name (c : Spec.chain) =
     name;
     states = n;
     nnz = Mdl_sparse.Csr.nnz r;
-    spec = State_lumping.refiner_spec Ordinary r;
+    spec = Refine_oracle.state_spec Ordinary r;
     fspec = State_lumping.float_spec Ordinary r;
     initial = Partition.trivial n;
   }
@@ -155,7 +166,7 @@ let tandem_flat_scenario ~name ~jobs ~hyper_dim =
     name;
     states = n;
     nnz = Mdl_sparse.Csr.nnz r;
-    spec = State_lumping.refiner_spec Ordinary r;
+    spec = Refine_oracle.state_spec Ordinary r;
     fspec = State_lumping.float_spec Ordinary r;
     initial;
   }
@@ -163,26 +174,23 @@ let tandem_flat_scenario ~name ~jobs ~hyper_dim =
 let run_flat ~repeats sc =
   Printf.printf "%-24s %7d states %8d nnz ... %!" sc.name sc.states sc.nnz;
   let p_ref, ref_s =
-    min_time ~repeats (fun () ->
-        Refiner_reference.comp_lumping sc.spec ~initial:sc.initial)
-  in
-  let p_gen, generic_s =
-    min_time ~repeats (fun () -> Refiner.comp_lumping sc.spec ~initial:sc.initial)
+    min_time ~repeats (fun () -> Refine_oracle.comp_lumping sc.spec ~initial:sc.initial)
   in
   let p_flt, float_s =
     min_time ~repeats (fun () ->
         Refiner.comp_lumping_float sc.fspec ~initial:sc.initial)
   in
-  if not (Partition.equal p_ref p_gen && Partition.equal p_gen p_flt) then begin
+  if not (Partition.equal p_ref p_flt) then begin
     Printf.printf "PIPELINES DISAGREE\n";
     Printf.eprintf "FATAL: %s: pipelines compute different fixed points\n" sc.name;
     exit 1
   end;
   (* One instrumented run (outside the timing loop) for the counters. *)
-  let stats = Refiner.create_stats () in
-  ignore (Refiner.comp_lumping_float ~stats sc.fspec ~initial:sc.initial);
-  Printf.printf "%d classes  seed %.4fs  generic %.4fs  float %.4fs  (%.2fx vs generic)\n"
-    (Partition.num_classes p_flt) ref_s generic_s float_s (generic_s /. float_s);
+  let (), stats =
+    with_stats (fun () -> ignore (Refiner.comp_lumping_float sc.fspec ~initial:sc.initial))
+  in
+  Printf.printf "%d classes  seed %.4fs  float %.4fs  (%.2fx vs seed)\n"
+    (Partition.num_classes p_flt) ref_s float_s (ref_s /. float_s);
   let json =
     Printf.sprintf
       {|    {
@@ -192,24 +200,18 @@ let run_flat ~repeats sc =
       "nnz": %d,
       "classes": %d,
       "ref_s": %.6f,
-      "generic_s": %.6f,
       "float_s": %.6f,
       "speedup_vs_ref": %.3f,
-      "speedup_vs_generic": %.3f,
       %s
     }|}
-      sc.name sc.states sc.nnz (Partition.num_classes p_flt) ref_s generic_s float_s
-      (ref_s /. float_s) (generic_s /. float_s) (stats_json stats)
+      sc.name sc.states sc.nnz (Partition.num_classes p_flt) ref_s float_s
+      (ref_s /. float_s) stats
   in
   let regression =
-    if generic_s > ref_s *. 1.05 then
+    if float_s > ref_s then
       Some
-        (Printf.sprintf "%s: in-place generic core slower than seed (%.4fs vs %.4fs)"
-           sc.name generic_s ref_s)
-    else if float_s > generic_s then
-      Some
-        (Printf.sprintf "%s: float pipeline slower than generic (%.4fs vs %.4fs)" sc.name
-           float_s generic_s)
+        (Printf.sprintf "%s: float pipeline slower than the seed engine (%.4fs vs %.4fs)"
+           sc.name float_s ref_s)
     else None
   in
   { json; o_name = sc.name; regression }
@@ -251,7 +253,7 @@ let kanban_ml_scenario ~name ~cards =
 let run_domains ~repeats ~cache ~pools sc ~lump ~r_mem ~cached_s =
   let race (d, pool) =
     let r_par, par_s =
-      min_time ~repeats (lump ~specialised:true ~memoise:true ?pool:(Some pool))
+      min_time ~repeats (lump ?pool:(Some pool))
     in
     let identical =
       Array.length r_par.Compositional.partitions
@@ -426,8 +428,7 @@ let run_sweep ~repeats sc =
      per run, rows wiped, intern table warm). *)
   let oneshot_cache = Mdl_core.Key_cache.create () in
   let oneshot spec () =
-    Compositional.lump ~specialised:true ~memoise:true ~cache:oneshot_cache
-      Mdl_lumping.State_lumping.Ordinary sc.md
+    Compositional.lump ~cache:oneshot_cache Mdl_lumping.State_lumping.Ordinary sc.md
       ~rewards:spec.Compositional.sweep_rewards ~initial:spec.Compositional.sweep_initial
   in
   let oneshot_raced = List.map (fun spec -> min_time ~repeats (oneshot spec)) specs in
@@ -685,53 +686,52 @@ let run_serve sc =
 let run_multilevel ~repeats ~cache ~pools sc =
   (* One end-to-end lump is milliseconds, not seconds: triple the repeat
      count so the min is robust against scheduler/GC noise (the
-     cached-vs-interned ratio is a CI gate).  The solver race keeps the
-     untripled count — a solve is orders of magnitude more work than a
-     lump. *)
+     parallel-vs-sequential ratio is a CI gate).  The solver race keeps
+     the untripled count — a solve is orders of magnitude more work than
+     a lump. *)
   let solver_repeats = repeats in
   let repeats = 3 * repeats in
   let states = Mdl_md.Statespace.size sc.statespace in
   Printf.printf "%-24s %7d states %8d levels .. %!" sc.ml_name states
     (Mdl_md.Md.levels sc.md);
-  let lump ~specialised ~memoise ?pool () =
-    Compositional.lump ~specialised ~memoise ~cache ?pool
-      Mdl_lumping.State_lumping.Ordinary sc.md ~rewards:sc.rewards
-      ~initial:sc.ml_initial
+  let lump ?pool () =
+    Compositional.lump ~cache ?pool Mdl_lumping.State_lumping.Ordinary sc.md
+      ~rewards:sc.rewards ~initial:sc.ml_initial
   in
   (* End-to-end: initial partitions + refinement + diagram rebuild.
-     [cache] is shared across scenarios (and ignored by the first two
-     configurations), so the cached run sees a hot intern table. *)
-  let r_gen, generic_s = min_time ~repeats (lump ~specialised:false ~memoise:false) in
-  let r_int, interned_s = min_time ~repeats (lump ~specialised:true ~memoise:false) in
-  let r_mem, cached_s = min_time ~repeats (lump ~specialised:true ~memoise:true) in
-  let same_partitions a b =
-    Array.length a.Compositional.partitions = Array.length b.Compositional.partitions
-    && Array.for_all2 Partition.equal a.Compositional.partitions
-         b.Compositional.partitions
+     [cache] is shared across scenarios, so the run sees a hot gid
+     table. *)
+  let r_mem, cached_s = min_time ~repeats lump in
+  let r_ref =
+    Refine_oracle.lump Mdl_lumping.State_lumping.Ordinary sc.md ~rewards:sc.rewards
+      ~initial:sc.ml_initial
   in
-  if not (same_partitions r_gen r_int && same_partitions r_int r_mem) then begin
+  if
+    not
+      (Array.length r_ref.Compositional.partitions
+         = Array.length r_mem.Compositional.partitions
+      && Array.for_all2 Partition.equal r_ref.Compositional.partitions
+           r_mem.Compositional.partitions)
+  then begin
     Printf.printf "PIPELINES DISAGREE\n";
-    Printf.eprintf "FATAL: %s: lump configurations compute different partitions\n"
+    Printf.eprintf
+      "FATAL: %s: lump and the reference lump compute different partitions\n"
       sc.ml_name;
     exit 1
   end;
-  if not (Mdl_md.Md.equal r_mem.Compositional.lumped r_int.Compositional.lumped) then begin
+  if not (Mdl_md.Md.equal r_mem.Compositional.lumped r_ref.Compositional.lumped) then begin
     Printf.printf "DIAGRAMS DISAGREE\n";
     Printf.eprintf
-      "FATAL: %s: cached/incremental lumped diagram differs from the uncached one\n"
+      "FATAL: %s: lumped diagram differs from the reference from-scratch rebuild\n"
       sc.ml_name;
     exit 1
   end;
-  (* One instrumented run outside the timing loops: counters into
-     [stats], spans into the shared trace buffer.  The timed races above
-     run with tracing disabled — the cached-vs-interned CI gate measures
-     the zero-overhead path. *)
-  let stats = Refiner.create_stats () in
+  (* One instrumented run outside the timing loops: counters from the
+     registry, spans into the shared trace buffer.  The timed races
+     above run with tracing disabled. *)
   let span_from = Trace.span_count () in
   Trace.resume ();
-  ignore (Compositional.lump ~specialised:true ~memoise:true ~cache ~stats
-            Mdl_lumping.State_lumping.Ordinary sc.md ~rewards:sc.rewards
-            ~initial:sc.ml_initial);
+  let (), stats = with_stats (fun () -> ignore (lump ())) in
   Trace.stop ();
   let domains_json, domains_timed, domains_regression =
     run_domains ~repeats ~cache ~pools sc ~lump ~r_mem ~cached_s
@@ -741,10 +741,7 @@ let run_multilevel ~repeats ~cache ~pools sc =
   let solvers_json, solver_iters =
     run_solvers ~repeats:solver_repeats sc ~r_mem ~lumped_ss
   in
-  Printf.printf
-    "%d lumped  generic %.4fs  interned %.4fs  cached %.4fs  (%.2fx vs interned)%s%s\n"
-    lumped_states generic_s interned_s cached_s
-    (interned_s /. cached_s)
+  Printf.printf "%d lumped  lump %.4fs%s%s\n" lumped_states cached_s
     (String.concat ""
        (List.map (fun (d, s) -> Printf.sprintf "  par%d %.4fs" d s) domains_timed))
     (String.concat ""
@@ -761,11 +758,7 @@ let run_multilevel ~repeats ~cache ~pools sc =
       "states": %d,
       "levels": %d,
       "lumped_states": %d,
-      "generic_s": %.6f,
-      "specialised_s": %.6f,
       "cached_s": %.6f,
-      "speedup_vs_generic": %.3f,
-      "speedup_cached_vs_interned": %.3f,
       %s,
       %s,
       %s,
@@ -773,23 +766,14 @@ let run_multilevel ~repeats ~cache ~pools sc =
       %s,
       %s
     }|}
-      sc.ml_name states (Mdl_md.Md.levels sc.md) lumped_states generic_s interned_s
-      cached_s
-      (generic_s /. interned_s)
-      (interned_s /. cached_s)
-      solvers_json
+      sc.ml_name states (Mdl_md.Md.levels sc.md) lumped_states cached_s solvers_json
       sweeps_json
       serve_json
-      domains_json
-      (stats_json stats)
+      domains_json stats
       (phases_json ~from:span_from ())
   in
   let regression =
-    if cached_s > interned_s then
-      Some
-        (Printf.sprintf "%s: memoised lump slower than uncached interned (%.4fs vs %.4fs)"
-           sc.ml_name cached_s interned_s)
-    else if domains_regression <> None then domains_regression
+    if domains_regression <> None then domains_regression
     else if sweep_regression <> None then sweep_regression
     else serve_regression
   in
@@ -847,7 +831,7 @@ let () =
   in
   let repeats = if !smoke then 2 else 3 in
   (* One cache for the whole sweep: each scenario rebinds it (dropping
-     the memoised rows) but keeps accumulating the shared intern table. *)
+     the memoised rows) but keeps accumulating the shared gid table. *)
   let cache = Mdl_core.Key_cache.create () in
   (* One pool per raced domain count, shared across scenarios (spawning
      domains per scenario would bill their startup to the first timed

@@ -10,7 +10,10 @@
    reference builder (Mdl_oracle.Build_oracle), and checks the compiled
    product plan of its diagram and of its lumped quotient, over a
    random reachable subset, against the reference co-walk
-   (Mdl_oracle.Product_oracle).
+   (Mdl_oracle.Product_oracle), and checks production partition
+   refinement — every level's fixed point and the whole lump, for both
+   key choices — against the seed-engine reference
+   (Mdl_oracle.Refine_oracle).
    Deterministic: one master --seed drives the whole run, and every
    case prints a spec that reproduces it.
 
@@ -26,6 +29,7 @@ module Spec = Mdl_oracle.Spec
 module Oracle = Mdl_oracle.Oracle
 module Explore_oracle = Mdl_oracle.Explore_oracle
 module Product_oracle = Mdl_oracle.Product_oracle
+module Refine_oracle = Mdl_oracle.Refine_oracle
 
 let run_fuzz count seed max_levels modes sanity domains verbose =
   (* [--verbose] keeps its per-case outcome printing; the shared logging
@@ -63,6 +67,8 @@ let run_fuzz count seed max_levels modes sanity domains verbose =
   let explore_missed = ref 0 and explore_skipped = ref 0 in
   let products = ref 0 and product_failures = ref 0 in
   let product_missed = ref 0 and product_skipped = ref 0 in
+  let refines = ref 0 and refine_failures = ref 0 in
+  let refine_missed = ref 0 and refine_skipped = ref 0 in
   let family_counts = Hashtbl.create 4 in
   for i = 0 to count - 1 do
     let prng = Prng.fork master i in
@@ -121,6 +127,26 @@ let run_fuzz count seed max_levels modes sanity domains verbose =
     end;
     let pool = pool_for prng in
     let par_threshold = if pool = None then None else Some 1 in
+    let fault = if sanity then Some Refine_oracle.Flip_gid else None in
+    List.iter
+      (fun mode ->
+        let ro = Refine_oracle.check ?fault ?pool ?par_threshold mode spec in
+        incr refines;
+        if verbose then Format.printf "#%d %a@." i Refine_oracle.pp_outcome ro;
+        if sanity then begin
+          if not ro.Refine_oracle.injected then incr refine_skipped
+          else if ro.Refine_oracle.violations = [] then begin
+            incr refine_missed;
+            Format.printf "#%d SANITY MISS: flipped cached gid not caught: %a@." i
+              Refine_oracle.pp_outcome ro
+          end
+        end
+        else if ro.Refine_oracle.violations <> [] then begin
+          incr refine_failures;
+          Format.printf "#%d %a@.reproduce: --seed %d (case %d)@." i
+            Refine_oracle.pp_outcome ro seed i
+        end)
+      modes;
     List.iter
       (fun mode ->
         let outcome = Oracle.run ?inject ?pool ?par_threshold mode spec in
@@ -165,7 +191,12 @@ let run_fuzz count seed max_levels modes sanity domains verbose =
       "sanity: %d product checks with a shifted plan column: %d caught, %d missed, %d not injectable\n"
       !products (!products - !product_missed - !product_skipped) !product_missed
       !product_skipped;
-    if !missed > 0 || !explore_missed > 0 || !product_missed > 0 then begin
+    Printf.printf
+      "sanity: %d refine checks with a flipped cached gid: %d caught, %d missed, %d not injectable\n"
+      !refines (!refines - !refine_missed - !refine_skipped) !refine_missed
+      !refine_skipped;
+    if !missed > 0 || !explore_missed > 0 || !product_missed > 0 || !refine_missed > 0
+    then begin
       print_endline "FAIL: the oracle is blind to injected faults";
       exit 1
     end;
@@ -176,7 +207,9 @@ let run_fuzz count seed max_levels modes sanity domains verbose =
       families !checked !failures domains_note;
     Printf.printf "exploration: %d SAN models, %d violations\n" !explored !explore_failures;
     Printf.printf "products: %d plan checks, %d violations\n" !products !product_failures;
-    if !failures > 0 || !explore_failures > 0 || !product_failures > 0 then exit 1;
+    Printf.printf "refine: %d reference checks, %d violations\n" !refines !refine_failures;
+    if !failures > 0 || !explore_failures > 0 || !product_failures > 0 || !refine_failures > 0
+    then exit 1;
     print_endline "ok: zero oracle violations"
   end
 
@@ -206,7 +239,7 @@ let mode_arg =
 let sanity_arg =
   Arg.(value & flag
        & info [ "sanity" ]
-           ~doc:"Oracle self-test: inject a rate perturbation into every lumped matrix, an index swap, a flipped closure verdict and a flipped coefficient bit in the built diagram into every exploration check, and a shifted column offset into every product plan, and require the oracle to catch each.")
+           ~doc:"Oracle self-test: inject a rate perturbation into every lumped matrix, an index swap, a flipped closure verdict and a flipped coefficient bit in the built diagram into every exploration check, a shifted column offset into every product plan, and a flipped gid in a cached splitter row into every refine check, and require the oracle to catch each.")
 
 let domains_arg =
   let domains_conv =

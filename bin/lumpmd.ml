@@ -157,10 +157,60 @@ let finish_tracing trace_file stream_trace show_metrics print_phases =
     end
   end
 
+(* --stats: the registry counters one run moved.  It switches the
+   registry on without starting a trace, so levels still refine in
+   parallel under --domains. *)
+let stat_counters =
+  [
+    "refiner.splitter_passes";
+    "refiner.key_evals";
+    "refiner.splits";
+    "refiner.blocks_created";
+    "refiner.largest_skips";
+    "refiner.float_passes";
+    "refiner.interned_passes";
+    "refiner.counting_sort_passes";
+    "key_cache.hits";
+    "key_cache.misses";
+    "key_cache.cross_bind_hits";
+    "rebuild.nodes_rebuilt";
+    "rebuild.nodes_reused";
+  ]
+
+let refine_seconds () = snd (Metrics.histogram_stats "refiner.run_seconds")
+
+let stat_snapshot () =
+  (List.map (fun n -> (n, Metrics.counter_value n)) stat_counters, refine_seconds ())
+
+let print_stat_deltas (before, seconds0) =
+  let d n = Metrics.counter_value n - List.assoc n before in
+  Printf.printf
+    "refiner stats: %d splitter passes, %d key evaluations, %d splits, %d blocks \
+     created, %d largest-block skips, %.4f s refinement\n"
+    (d "refiner.splitter_passes") (d "refiner.key_evals") (d "refiner.splits")
+    (d "refiner.blocks_created") (d "refiner.largest_skips")
+    (refine_seconds () -. seconds0);
+  Printf.printf
+    "refiner pipelines: %d float-path passes, %d interned-key passes (%d counting \
+     sorted), %.0f max interned alphabet\n"
+    (d "refiner.float_passes") (d "refiner.interned_passes")
+    (d "refiner.counting_sort_passes")
+    (Metrics.gauge_value "refiner.intern_alphabet");
+  let hits = d "key_cache.hits" and misses = d "key_cache.misses" in
+  Printf.printf
+    "key cache: %d hits, %d misses%s, %d cross-bind; rebuild: %d nodes rebuilt, %d \
+     reused verbatim\n"
+    hits misses
+    (if hits + misses = 0 then ""
+     else
+       Printf.sprintf " (%.1f%% hit rate)"
+         (100.0 *. float_of_int hits /. float_of_int (hits + misses)))
+    (d "key_cache.cross_bind_hits") (d "rebuild.nodes_rebuilt") (d "rebuild.nodes_reused")
+
 let run inst mode key solve solver check_optimal dot_file export_file merge_level show_stats
-    generic_refiner no_key_cache trace_file stream_trace show_metrics domains =
+    trace_file stream_trace show_metrics domains =
   setup_tracing trace_file stream_trace show_metrics;
-  if show_metrics then Metrics.set_enabled true;
+  if show_metrics || show_stats then Metrics.set_enabled true;
   Printf.printf "model: %s\n" inst.name;
   (* Optional level merging before lumping (exposes cross-level
      symmetries at the price of a bigger level; reward measures are not
@@ -195,7 +245,7 @@ let run inst mode key solve solver check_optimal dot_file export_file merge_leve
     if domains > 1 then Some (Mdl_util.Domain_pool.create ~domains) else None
   in
   if domains > 1 then Printf.printf "domains: %d\n" domains;
-  let refine_stats = Mdl_partition.Refiner.create_stats () in
+  let stats0 = stat_snapshot () in
   let result, lump_time =
     Mdl_util.Timer.time (fun () ->
         let rewards =
@@ -203,9 +253,7 @@ let run inst mode key solve solver check_optimal dot_file export_file merge_leve
           | [] -> [ Decomposed.constant ~sizes:(Mdl_md.Md.sizes inst.md) 1.0 ]
           | l -> List.map snd l
         in
-        Compositional.lump ~key ~stats:refine_stats
-          ~specialised:(not generic_refiner) ~memoise:(not no_key_cache) ?pool mode
-          inst.md ~rewards ~initial:inst.initial)
+        Compositional.lump ~key ?pool mode inst.md ~rewards ~initial:inst.initial)
   in
   Array.iteri
     (fun i p ->
@@ -218,30 +266,7 @@ let run inst mode key solve solver check_optimal dot_file export_file merge_leve
     (float_of_int (Statespace.size ss) /. float_of_int (Statespace.size lumped_ss))
     lump_time
     (float_of_int (Md.memory_bytes result.Compositional.lumped) /. 1024.0);
-  if show_stats then begin
-    let s = refine_stats in
-    Printf.printf
-      "refiner stats: %d splitter passes, %d key evaluations, %d splits, %d blocks \
-       created, %d largest-block skips, %.4f s refinement\n"
-      s.Mdl_partition.Refiner.splitter_passes s.Mdl_partition.Refiner.key_evals
-      s.Mdl_partition.Refiner.splits s.Mdl_partition.Refiner.blocks_created
-      s.Mdl_partition.Refiner.largest_skips s.Mdl_partition.Refiner.wall_s;
-    Printf.printf
-      "refiner pipelines: %d float-path passes, %d interned-key passes (%d counting \
-       sorted), %d generic fallback passes, %d max interned alphabet\n"
-      s.Mdl_partition.Refiner.float_passes s.Mdl_partition.Refiner.interned_passes
-      s.Mdl_partition.Refiner.counting_sort_passes
-      s.Mdl_partition.Refiner.fallback_passes s.Mdl_partition.Refiner.intern_keys;
-    let lookups = s.Mdl_partition.Refiner.cache_hits + s.Mdl_partition.Refiner.cache_misses in
-    Printf.printf
-      "key cache: %d hits, %d misses%s; rebuild: %d nodes rebuilt, %d reused verbatim\n"
-      s.Mdl_partition.Refiner.cache_hits s.Mdl_partition.Refiner.cache_misses
-      (if lookups = 0 then " (cache off)"
-       else
-         Printf.sprintf " (%.1f%% hit rate)"
-           (100.0 *. float_of_int s.Mdl_partition.Refiner.cache_hits /. float_of_int lookups))
-      s.Mdl_partition.Refiner.nodes_rebuilt s.Mdl_partition.Refiner.nodes_reused
-  end;
+  if show_stats then print_stat_deltas stats0;
   let closed = Compositional.is_closed result ss in
   if not closed then print_endline "WARNING: reachable set not class-closed";
   Option.iter
@@ -300,8 +325,7 @@ let run inst mode key solve solver check_optimal dot_file export_file merge_leve
       let further =
         match mode with
         | State_lumping.Ordinary ->
-            State_lumping.coarsest ~generic:generic_refiner Ordinary flat
-              ~initial:initial_p
+            State_lumping.coarsest Ordinary flat ~initial:initial_p
         | State_lumping.Exact ->
             let exit_p =
               Partition.group_by n
@@ -309,7 +333,7 @@ let run inst mode key solve solver check_optimal dot_file export_file merge_leve
                 Float.compare
             in
             ignore initial_p;
-            State_lumping.coarsest ~generic:generic_refiner Exact flat ~initial:exit_p
+            State_lumping.coarsest Exact flat ~initial:exit_p
       in
       Printf.printf "state-level lumping of the lumped chain: %d -> %d classes%s\n" n
         (Partition.num_classes further)
@@ -354,7 +378,7 @@ let sweep_variants inst =
 let run_sweep inst points solve solver show_stats trace_file stream_trace show_metrics
     domains =
   setup_tracing trace_file stream_trace show_metrics;
-  if show_metrics then Metrics.set_enabled true;
+  if show_metrics || show_stats then Metrics.set_enabled true;
   Printf.printf "model: %s\n" inst.name;
   let ss = inst.statespace in
   Printf.printf "reachable states: %d; sweep of %d points\n" (Statespace.size ss) points;
@@ -364,7 +388,7 @@ let run_sweep inst points solve solver show_stats trace_file stream_trace show_m
   if domains > 1 then Printf.printf "domains: %d\n" domains;
   let variants = sweep_variants inst in
   let nv = List.length variants in
-  let refine_stats = Mdl_partition.Refiner.create_stats () in
+  let stats0 = stat_snapshot () in
   let sw = Compositional.sweep_create ?pool State_lumping.Ordinary inst.md in
   let times = Array.make (max points 1) 0.0 in
   for i = 0 to points - 1 do
@@ -372,8 +396,7 @@ let run_sweep inst points solve solver show_stats trace_file stream_trace show_m
     let before = Compositional.sweep_stats sw in
     let r, s =
       Mdl_util.Timer.time (fun () ->
-          Compositional.sweep_point ~stats:refine_stats sw ~rewards
-            ~initial:inst.initial)
+          Compositional.sweep_point sw ~rewards ~initial:inst.initial)
     in
     times.(i) <- s;
     let after = Compositional.sweep_stats sw in
@@ -418,17 +441,8 @@ let run_sweep inst points solve solver show_stats trace_file stream_trace show_m
       (st.Compositional.rebuilds_reused + st.Compositional.rebuilds)
       (Mdl_core.Key_cache.store_size (Compositional.sweep_cache sw))
   end;
-  if show_stats then begin
-    let s = refine_stats in
-    Printf.printf
-      "refiner stats (levels actually run): %d splitter passes, %d key evaluations, \
-       %d splits, %.4f s refinement\n"
-      s.Mdl_partition.Refiner.splitter_passes s.Mdl_partition.Refiner.key_evals
-      s.Mdl_partition.Refiner.splits s.Mdl_partition.Refiner.wall_s;
-    Printf.printf "key cache: %d hits, %d misses; rebuild: %d nodes rebuilt, %d reused\n"
-      s.Mdl_partition.Refiner.cache_hits s.Mdl_partition.Refiner.cache_misses
-      s.Mdl_partition.Refiner.nodes_rebuilt s.Mdl_partition.Refiner.nodes_reused
-  end;
+  (* Only the levels a sweep actually refines move the counters. *)
+  if show_stats then print_stat_deltas stats0;
   finish_tracing trace_file stream_trace show_metrics print_phase_breakdown;
   Option.iter Mdl_util.Domain_pool.shutdown pool
 
@@ -468,17 +482,7 @@ let solver_arg =
 let stats_arg =
   Arg.(value & flag
        & info [ "stats" ]
-           ~doc:"Print aggregated partition-refinement counters (splitter passes, key evaluations, splits, blocks created, largest-block skips, refinement wall time) and the per-pipeline breakdown (float-path / interned-key / counting-sort / generic-fallback passes, max interned alphabet).")
-
-let generic_refiner_arg =
-  Arg.(value & flag
-       & info [ "generic-refiner" ]
-           ~doc:"Refine through the generic closure-based key pipeline instead of the specialised (interned-key / float) pipelines. Same partitions, slower; for comparison and debugging.")
-
-let no_key_cache_arg =
-  Arg.(value & flag
-       & info [ "no-key-cache" ]
-           ~doc:"Disable the splitter-key cache and incremental lumped rebuild (the memoised path is on by default). Same partitions, same lumped diagram, same splitter-pass count; more key-evaluation work. For comparison and debugging.")
+           ~doc:"Enable the metrics registry (without tracing, so levels still refine in parallel) and print the counter deltas of the run: splitter passes, key evaluations, splits, blocks created, largest-block skips and refinement wall time; float-path / interned-key / counting-sort passes and the max interned alphabet; key-cache hits, misses and cross-bind hits; rebuilt and reused lumped-diagram nodes.")
 
 let check_arg =
   Arg.(value & flag & info [ "check-optimal" ] ~doc:"Run flat state-level lumping on the lumped chain (Section 5's optimality check).")
@@ -516,7 +520,7 @@ let stream_trace_arg =
 let metrics_arg =
   Arg.(value & flag
        & info [ "metrics" ]
-           ~doc:"Enable the process-wide metrics registry and dump it after the run: key-cache hits/misses, per-pipeline pass counts, split/key-evaluation counters, latency histograms, and the per-phase Gc allocation breakdown.")
+           ~doc:"Enable the process-wide metrics registry and dump every registered metric after the run (refiner, key-cache and rebuild counters, latency histograms), plus the per-phase Gc allocation breakdown.  The breakdown is read from trace spans, so this also records a trace, and a traced lump refines its levels sequentially; $(b,--stats) prints the lump counters without tracing.")
 
 let domains_arg =
   Arg.(value & opt int 1
@@ -528,76 +532,76 @@ let tandem_cmd =
   let hdim = Arg.(value & opt int 3 & info [ "hyper-dim" ] ~doc:"Hypercube dimension (2^d servers).") in
   let ms = Arg.(value & opt int 3 & info [ "msmq-servers" ] ~doc:"MSMQ servers.") in
   let mq = Arg.(value & opt int 4 & info [ "msmq-queues" ] ~doc:"MSMQ queues.") in
-  let f jobs hdim ms mq mode key solve solver check dot export merge stats generic no_cache trace stream metrics domains verbose =
+  let f jobs hdim ms mq mode key solve solver check dot export merge stats trace stream metrics domains verbose =
     Mdl_obs.Logging.setup ~verbose ();
-    run (build_tandem jobs hdim ms mq) mode key solve solver check dot export merge stats generic
-      no_cache trace stream metrics domains
+    run (build_tandem jobs hdim ms mq) mode key solve solver check dot export merge stats trace
+      stream metrics domains
   in
   Cmd.v
     (Cmd.info "tandem" ~doc:"The paper's tandem multi-processor system (Section 5).")
     Term.(
       const f $ jobs $ hdim $ ms $ mq $ mode_arg $ key_arg $ solve_arg $ solver_arg $ check_arg
-      $ dot_arg $ export_arg $ merge_arg $ stats_arg $ generic_refiner_arg $ no_key_cache_arg $ trace_arg $ stream_trace_arg $ metrics_arg $ domains_arg $ verbose_arg)
+      $ dot_arg $ export_arg $ merge_arg $ stats_arg $ trace_arg $ stream_trace_arg $ metrics_arg $ domains_arg $ verbose_arg)
 
 let polling_cmd =
   let customers =
     Arg.(value & opt int 4 & info [ "customers"; "c" ] ~doc:"Closed population.")
   in
-  let f customers mode key solve solver check dot export merge stats generic no_cache trace stream metrics domains verbose =
+  let f customers mode key solve solver check dot export merge stats trace stream metrics domains verbose =
     Mdl_obs.Logging.setup ~verbose ();
-    run (build_polling customers) mode key solve solver check dot export merge stats generic no_cache
+    run (build_polling customers) mode key solve solver check dot export merge stats
       trace stream metrics domains
   in
   Cmd.v
     (Cmd.info "polling" ~doc:"The MSMQ polling station in isolation.")
     Term.(
       const f $ customers $ mode_arg $ key_arg $ solve_arg $ solver_arg $ check_arg $ dot_arg
-      $ export_arg $ merge_arg $ stats_arg $ generic_refiner_arg $ no_key_cache_arg $ trace_arg $ stream_trace_arg $ metrics_arg $ domains_arg $ verbose_arg)
+      $ export_arg $ merge_arg $ stats_arg $ trace_arg $ stream_trace_arg $ metrics_arg $ domains_arg $ verbose_arg)
 
 let workstations_cmd =
   let stations =
     Arg.(value & opt int 4 & info [ "stations"; "n" ] ~doc:"Number of workstations.")
   in
-  let f stations mode key solve solver check dot export merge stats generic no_cache trace stream metrics domains verbose =
+  let f stations mode key solve solver check dot export merge stats trace stream metrics domains verbose =
     Mdl_obs.Logging.setup ~verbose ();
-    run (build_workstations stations) mode key solve solver check dot export merge stats generic no_cache
+    run (build_workstations stations) mode key solve solver check dot export merge stats
       trace stream metrics domains
   in
   Cmd.v
     (Cmd.info "workstations" ~doc:"Replicated workstation cluster with a spare store.")
     Term.(
       const f $ stations $ mode_arg $ key_arg $ solve_arg $ solver_arg $ check_arg $ dot_arg
-      $ export_arg $ merge_arg $ stats_arg $ generic_refiner_arg $ no_key_cache_arg $ trace_arg $ stream_trace_arg $ metrics_arg $ domains_arg $ verbose_arg)
+      $ export_arg $ merge_arg $ stats_arg $ trace_arg $ stream_trace_arg $ metrics_arg $ domains_arg $ verbose_arg)
 
 let multitier_cmd =
   let clients =
     Arg.(value & opt int 3 & info [ "clients"; "c" ] ~doc:"Closed population.")
   in
-  let f clients mode key solve solver check dot export merge stats generic no_cache trace stream metrics domains verbose =
+  let f clients mode key solve solver check dot export merge stats trace stream metrics domains verbose =
     Mdl_obs.Logging.setup ~verbose ();
-    run (build_multitier clients) mode key solve solver check dot export merge stats generic no_cache
+    run (build_multitier clients) mode key solve solver check dot export merge stats
       trace stream metrics domains
   in
   Cmd.v
     (Cmd.info "multitier" ~doc:"Closed multi-tier service system (4-level MD).")
     Term.(
       const f $ clients $ mode_arg $ key_arg $ solve_arg $ solver_arg $ check_arg $ dot_arg
-      $ export_arg $ merge_arg $ stats_arg $ generic_refiner_arg $ no_key_cache_arg $ trace_arg $ stream_trace_arg $ metrics_arg $ domains_arg $ verbose_arg)
+      $ export_arg $ merge_arg $ stats_arg $ trace_arg $ stream_trace_arg $ metrics_arg $ domains_arg $ verbose_arg)
 
 let kanban_cmd =
   let cards =
     Arg.(value & opt int 2 & info [ "cards"; "n" ] ~doc:"Kanban cards per cell.")
   in
-  let f cards mode key solve solver check dot export merge stats generic no_cache trace stream metrics domains verbose =
+  let f cards mode key solve solver check dot export merge stats trace stream metrics domains verbose =
     Mdl_obs.Logging.setup ~verbose ();
-    run (build_kanban cards) mode key solve solver check dot export merge stats generic no_cache
+    run (build_kanban cards) mode key solve solver check dot export merge stats
       trace stream metrics domains
   in
   Cmd.v
     (Cmd.info "kanban" ~doc:"The Kanban manufacturing system (4-level MD benchmark).")
     Term.(
       const f $ cards $ mode_arg $ key_arg $ solve_arg $ solver_arg $ check_arg $ dot_arg
-      $ export_arg $ merge_arg $ stats_arg $ generic_refiner_arg $ no_key_cache_arg $ trace_arg $ stream_trace_arg $ metrics_arg $ domains_arg $ verbose_arg)
+      $ export_arg $ merge_arg $ stats_arg $ trace_arg $ stream_trace_arg $ metrics_arg $ domains_arg $ verbose_arg)
 
 let sweep_cmd =
   let model =

@@ -7,7 +7,6 @@ module Formal_sum = Mdl_md.Formal_sum
 module Statespace = Mdl_md.Statespace
 module Set_mdd = Mdl_md.Set_mdd
 module Partition = Mdl_partition.Partition
-module Refiner = Mdl_partition.Refiner
 module Trace = Mdl_obs.Trace
 module Metrics = Mdl_obs.Metrics
 module Domain_pool = Mdl_util.Domain_pool
@@ -54,37 +53,18 @@ let is_identity p =
   done;
   !ok
 
-let bump_rebuilt stats n =
-  Metrics.add c_nodes_rebuilt n;
-  match stats with
-  | Some st -> st.Refiner.nodes_rebuilt <- st.Refiner.nodes_rebuilt + n
-  | None -> ()
-
-let bump_reused stats n =
-  Metrics.add c_nodes_reused n;
-  match stats with
-  | Some st -> st.Refiner.nodes_reused <- st.Refiner.nodes_reused + n
-  | None -> ()
-
 (* How many pool tasks to cut [n] work items into: enough for dynamic
    load balancing, bounded so per-task overhead stays negligible. *)
 let task_count pool n = min n (4 * Domain_pool.size pool)
 
-let rebuild_body ?stats ?(incremental = true) ?pool ?(par_threshold = 1024) mode md
-    partitions =
+let rebuild_body ?pool ?(par_threshold = 1024) mode md partitions =
   let nlevels = Md.levels md in
-  (* [incremental:false] restores the from-scratch rebuild (every node
-     reconstructed entry by entry) — the faithful uncached baseline the
-     bench races the memoised path against. *)
-  let identity =
-    if incremental then Array.map is_identity partitions
-    else Array.map (fun _ -> false) partitions
-  in
+  let identity = Array.map is_identity partitions in
   if Array.for_all Fun.id identity then begin
     (* Nothing lumps at any level: the lumped diagram is the input
        diagram itself.  Alias it (the result shares the node store)
        instead of copying node by node. *)
-    bump_reused stats (Md.num_live_nodes md);
+    Metrics.add c_nodes_reused (Md.num_live_nodes md);
     md
   end
   else begin
@@ -107,16 +87,16 @@ let rebuild_body ?stats ?(incremental = true) ?pool ?(par_threshold = 1024) mode
         List.iter
           (fun node ->
             Hashtbl.replace node_map node (Md.import_node out ~level md node remap);
-            bump_reused stats 1)
+            Metrics.incr c_nodes_reused)
           live.(level - 1)
-      else if incremental then begin
-        (* Fast quotient build: flat class-indexed accumulation emitted
+      else begin
+        (* Quotient build: flat class-indexed accumulation emitted
            through the raw sorted-rows constructor, skipping
            [add_node]'s per-entry validation/sort.  Entries are
            folded in {e descending} (row, col) order — the order
            [add_node] combines a consed entry list in — so the
            floating-point coefficients come out bit-identical to the
-           from-scratch path and both paths hash-cons to equal
+           oracle's from-scratch rebuild and both hash-cons to equal
            diagrams. *)
         let nc = Partition.num_classes p in
         (* Per-node quotient rows are computed independently (per-task
@@ -192,7 +172,7 @@ let rebuild_body ?stats ?(incremental = true) ?pool ?(par_threshold = 1024) mode
           Array.iteri
             (fun i node ->
               Hashtbl.replace node_map node (Md.add_node_sorted_rows out ~level (rows_of i));
-              bump_rebuilt stats 1)
+              Metrics.incr c_nodes_rebuilt)
             nodes
         in
         match pool with
@@ -211,47 +191,16 @@ let rebuild_body ?stats ?(incremental = true) ?pool ?(par_threshold = 1024) mode
             let build_node = build () in
             commit (fun i -> build_node nodes.(i))
       end
-      else
-        List.iter
-          (fun node ->
-            let entries = ref [] in
-            (match mode with
-            | Mdl_lumping.State_lumping.Ordinary ->
-                (* Representative rows, class-summed columns. *)
-                for ci = 0 to Partition.num_classes p - 1 do
-                  let rep = Partition.representative p ci in
-                  List.iter
-                    (fun (c, sum) ->
-                      entries :=
-                        (ci, Partition.class_of p c, Formal_sum.map_children remap sum)
-                        :: !entries)
-                    (Md.node_row md node rep)
-                done
-            | Mdl_lumping.State_lumping.Exact ->
-                (* Aggregated form: all entries, scaled by 1/|C_row|. *)
-                Md.iter_node_entries md node (fun r c sum ->
-                    let ci = Partition.class_of p r in
-                    let w = 1.0 /. float_of_int (Partition.class_size p ci) in
-                    entries :=
-                      ( ci,
-                        Partition.class_of p c,
-                        Formal_sum.scale w (Formal_sum.map_children remap sum) )
-                      :: !entries));
-            let new_id = Md.add_node out ~level !entries in
-            Hashtbl.replace node_map node new_id;
-            bump_rebuilt stats 1)
-          live.(level - 1)
     done;
     Md.set_root out (remap (Md.root md));
     out
   end
 
-let rebuild ?stats ?incremental ?pool ?par_threshold mode md partitions =
-  if not (Trace.enabled ()) then
-    rebuild_body ?stats ?incremental ?pool ?par_threshold mode md partitions
+let rebuild ?pool ?par_threshold mode md partitions =
+  if not (Trace.enabled ()) then rebuild_body ?pool ?par_threshold mode md partitions
   else
     Trace.with_span ~cat:"lump" "lump.rebuild" (fun () ->
-        let out = rebuild_body ?stats ?incremental ?pool ?par_threshold mode md partitions in
+        let out = rebuild_body ?pool ?par_threshold mode md partitions in
         Trace.add_args
           [
             ("nodes_in", Trace.Int (Md.num_live_nodes md));
@@ -260,7 +209,7 @@ let rebuild ?stats ?incremental ?pool ?par_threshold mode md partitions =
           ];
         out)
 
-let lump_with_partitions ?stats ?incremental ?pool ?par_threshold mode md partitions =
+let lump_with_partitions ?pool ?par_threshold mode md partitions =
   if Array.length partitions <> Md.levels md then
     invalid_arg "Compositional.lump_with_partitions: level count mismatch";
   Array.iteri
@@ -268,16 +217,10 @@ let lump_with_partitions ?stats ?incremental ?pool ?par_threshold mode md partit
       if Partition.size p <> Md.size md (i + 1) then
         invalid_arg "Compositional.lump_with_partitions: partition size mismatch")
     partitions;
-  { lumped = rebuild ?stats ?incremental ?pool ?par_threshold mode md partitions; partitions }
+  { lumped = rebuild ?pool ?par_threshold mode md partitions; partitions }
 
-let lump_body ?eps ?key ?stats ~specialised ~memoise ?cache ?pool ?par_threshold mode
-    md ~rewards ~initial =
-  (* The key cache rides on the interned pipeline; under the generic
-     baseline (or with memoisation off) no cache is used at all. *)
-  let cache =
-    if not (memoise && specialised) then None
-    else Some (match cache with Some c -> c | None -> Key_cache.create ())
-  in
+let lump_body ?eps ?key ?cache ?pool ?par_threshold mode md ~rewards ~initial =
+  let cache = match cache with Some c -> c | None -> Key_cache.create () in
   (* Rebinding retires the memoised rows (an epoch bump on a persistent
      cache, a wipe otherwise): per-bind entries are only sound within
      one monotone refinement run per level.  The intern tables and
@@ -285,16 +228,16 @@ let lump_body ?eps ?key ?stats ~specialised ~memoise ?cache ?pool ?par_threshold
      run's configuration makes a mismatched shared cache fail loudly
      here instead of deep inside a splitter pass. *)
   let choice = Option.value key ~default:Local_key.Formal_sums in
-  (match cache with Some c -> Key_cache.bind ?eps ~choice ~mode c md | None -> ());
+  Key_cache.bind ?eps ~choice ~mode cache md;
   (* Arm (or disarm, so a cache reused across runs never keeps a stale
      pool) intra-node splitter-key sharding on the cache; per-level
      forks below inherit the setting. *)
-  (match cache with Some c -> Key_cache.set_pool ?par_threshold c pool | None -> ());
+  Key_cache.set_pool ?par_threshold cache pool;
   let nlevels = Md.levels md in
   (* Levels are algorithmically independent — each computes its own
      initial partition and fixed point from [md] alone — so they can
      refine concurrently, each level running the untouched sequential
-     code on its own domain with its own cache fork and stats record.
+     code on its own domain with its own cache fork.
      The global trace buffer is the one piece of observability that is
      not domain-safe, so tracing runs fall back to sequential levels
      (intra-level sharding below never emits spans and stays on). *)
@@ -316,29 +259,19 @@ let lump_body ?eps ?key ?stats ~specialised ~memoise ?cache ?pool ?par_threshold
           let p_ini =
             Level_lumping.initial_partition ?eps mode md ~level ~rewards ~initial
           in
-          let level_stats = Refiner.create_stats () in
-          let fork = Option.map Key_cache.fork cache in
           let p =
-            Level_lumping.comp_lumping_level ?eps ?key ~stats:level_stats ~specialised
-              ?cache:fork ?pool mode md ~level ~initial:p_ini
+            Level_lumping.comp_lumping_level ?eps ?key ~cache:(Key_cache.fork cache) ?pool
+              mode md ~level ~initial:p_ini
           in
-          results.(i) <- Some (p, level_stats));
+          results.(i) <- Some p);
       Array.mapi
         (fun i r ->
           match r with
           | None -> assert false
-          | Some (p, level_stats) ->
-              (* Merge in level order: the accumulated totals then equal
-                 a sequential run's, whatever order the levels actually
-                 finished in. *)
+          | Some p ->
               Log.debug (fun m ->
-                  m "level %d: %d -> %d classes [refiner: %a]" (i + 1)
-                    (Partition.size p)
-                    (Partition.num_classes p)
-                    Refiner.pp_stats level_stats);
-              (match stats with
-              | Some dst -> Refiner.add_stats dst level_stats
-              | None -> ());
+                  m "level %d: %d -> %d classes" (i + 1) (Partition.size p)
+                    (Partition.num_classes p));
               p)
         results
     end
@@ -353,21 +286,17 @@ let lump_body ?eps ?key ?stats ~specialised ~memoise ?cache ?pool ?par_threshold
                 Trace.with_span ~cat:"lump" "lump.initial_partition" (fun () ->
                     Level_lumping.initial_partition ?eps mode md ~level ~rewards ~initial)
               in
-              let level_stats = Refiner.create_stats () in
               let p, dt =
                 Mdl_util.Timer.time (fun () ->
-                    Level_lumping.comp_lumping_level ?eps ?key ~stats:level_stats
-                      ~specialised ?cache ?pool mode md ~level ~initial:p_ini)
+                    Level_lumping.comp_lumping_level ?eps ?key ~cache ?pool mode md ~level
+                      ~initial:p_ini)
               in
               Log.debug (fun m ->
-                  m "level %d: %d -> %d classes (P_ini %d) in %.3fs [refiner: %a]" level
+                  m "level %d: %d -> %d classes (P_ini %d) in %.3fs" level
                     (Partition.size p)
                     (Partition.num_classes p)
                     (Partition.num_classes p_ini)
-                    dt Refiner.pp_stats level_stats);
-              (match stats with
-              | Some dst -> Refiner.add_stats dst level_stats
-              | None -> ());
+                    dt);
               Trace.add_args
                 [
                   ("classes_initial", Trace.Int (Partition.num_classes p_ini));
@@ -377,8 +306,7 @@ let lump_body ?eps ?key ?stats ~specialised ~memoise ?cache ?pool ?par_threshold
   in
   let r, dt =
     Mdl_util.Timer.time (fun () ->
-        lump_with_partitions ?stats ~incremental:memoise ?pool ?par_threshold mode md
-          partitions)
+        lump_with_partitions ?pool ?par_threshold mode md partitions)
   in
   Log.debug (fun m ->
       m "rebuild: %d nodes -> %d nodes in %.3fs%s" (Md.num_live_nodes md)
@@ -386,25 +314,17 @@ let lump_body ?eps ?key ?stats ~specialised ~memoise ?cache ?pool ?par_threshold
         (if r.lumped == md then " (aliased: nothing lumped)" else ""));
   r
 
-let lump ?tctx ?eps ?key ?stats ?(specialised = true) ?(memoise = true) ?cache ?pool
-    ?par_threshold mode md ~rewards ~initial =
+let lump ?tctx ?eps ?key ?cache ?pool ?par_threshold mode md ~rewards ~initial =
   Trace.with_ctx_opt tctx (fun () ->
       Metrics.incr c_lumps;
       if not (Trace.enabled ()) then
-        lump_body ?eps ?key ?stats ~specialised ~memoise ?cache ?pool ?par_threshold
-          mode md ~rewards ~initial
+        lump_body ?eps ?key ?cache ?pool ?par_threshold mode md ~rewards ~initial
       else
         Trace.with_span ~cat:"lump"
-          ~args:
-            [
-              ("levels", Trace.Int (Md.levels md));
-              ("specialised", Trace.Bool specialised);
-              ("memoise", Trace.Bool memoise);
-            ]
+          ~args:[ ("levels", Trace.Int (Md.levels md)) ]
           "lump"
           (fun () ->
-            lump_body ?eps ?key ?stats ~specialised ~memoise ?cache ?pool
-              ?par_threshold mode md ~rewards ~initial))
+            lump_body ?eps ?key ?cache ?pool ?par_threshold mode md ~rewards ~initial))
 
 (* ------------------------------------------------------------------ *)
 (* Batched sweeps: one diagram, many reward/initial specifications.    *)
@@ -495,7 +415,7 @@ let sweep_create ?eps ?(key = Local_key.Formal_sums) ?cache ?pool ?par_threshold
     sw_cross0 = Key_cache.cross_bind_hits cache;
   }
 
-let sweep_point_body ?stats sw ~rewards ~initial =
+let sweep_point_body sw ~rewards ~initial =
   let md = sw.sw_md and mode = sw.sw_mode in
   let nlevels = Md.levels md in
   (* Epoch bump: tier-1 rows of earlier points retire, the shared
@@ -509,7 +429,6 @@ let sweep_point_body ?stats sw ~rewards ~initial =
               ~rewards ~initial))
   in
   let finals = Array.make nlevels None in
-  let level_stats_arr = Array.make nlevels None in
   let misses = ref [] in
   Array.iteri
     (fun i p_ini ->
@@ -536,13 +455,8 @@ let sweep_point_body ?stats sw ~rewards ~initial =
   sw.sw_level_fixpoints <- sw.sw_level_fixpoints + nmisses;
   Metrics.add c_sweep_level_fixpoints nmisses;
   let run_level cache (i, _) =
-    let level = i + 1 in
-    let level_stats = Refiner.create_stats () in
-    let p =
-      Level_lumping.comp_lumping_level ?eps:sw.sw_eps ~key:sw.sw_key ~stats:level_stats
-        ~specialised:true ?cache ?pool:sw.sw_pool mode md ~level ~initial:inis.(i)
-    in
-    (p, level_stats)
+    Level_lumping.comp_lumping_level ?eps:sw.sw_eps ~key:sw.sw_key ~cache ?pool:sw.sw_pool
+      mode md ~level:(i + 1) ~initial:inis.(i)
   in
   let level_parallel =
     match sw.sw_pool with
@@ -559,31 +473,22 @@ let sweep_point_body ?stats sw ~rewards ~initial =
        work survives them. *)
     Md.warm_col_cache md;
     Domain_pool.run pl ~n:nmisses (fun t ->
-        results.(t) <- Some (run_level (Some (Key_cache.fork sw.sw_cache)) misses.(t)))
+        results.(t) <- Some (run_level (Key_cache.fork sw.sw_cache) misses.(t)))
   end
   else
     Array.iteri
-      (fun t miss -> results.(t) <- Some (run_level (Some sw.sw_cache) miss))
+      (fun t miss -> results.(t) <- Some (run_level sw.sw_cache miss))
       misses;
   Array.iteri
     (fun t (i, memo_key) ->
       match results.(t) with
       | None -> assert false
-      | Some (p, level_stats) ->
+      | Some p ->
           (* [p] is canonical, so [to_class_assignment] already is the
              canonical assignment. *)
           Hashtbl.replace sw.sw_level_memo memo_key (Partition.to_class_assignment p);
-          finals.(i) <- Some p;
-          level_stats_arr.(i) <- Some level_stats)
+          finals.(i) <- Some p)
     misses;
-  (* Merge per-level stats in level order, whatever order the levels
-     refined in, so the totals match a sequential run's. *)
-  (match stats with
-  | Some dst ->
-      Array.iter
-        (function Some ls -> Refiner.add_stats dst ls | None -> ())
-        level_stats_arr
-  | None -> ());
   let partitions = Array.map Option.get finals in
   (* Per-level assignment lengths are fixed by the diagram, so the plain
      concatenation is an injective key for the partition tuple. *)
@@ -594,8 +499,8 @@ let sweep_point_body ?stats sw ~rewards ~initial =
   | Some lumped ->
       (* The quotient is a pure function of (diagram, partitions, mode):
          equal canonical assignments rebuild to an [Md.equal] diagram,
-         so the previously built one is aliased.  [nodes_rebuilt] /
-         [nodes_reused] stats are not re-counted for a replay. *)
+         so the previously built one is aliased.  The
+         [rebuild.nodes_*] counters are not re-counted for a replay. *)
       sw.sw_rebuilds_reused <- sw.sw_rebuilds_reused + 1;
       Metrics.incr c_sweep_rebuild_reused;
       { lumped; partitions }
@@ -603,25 +508,25 @@ let sweep_point_body ?stats sw ~rewards ~initial =
       sw.sw_rebuilds <- sw.sw_rebuilds + 1;
       Metrics.incr c_sweep_rebuilds;
       let r =
-        lump_with_partitions ?stats ~incremental:true ?pool:sw.sw_pool
-          ?par_threshold:sw.sw_par_threshold mode md partitions
+        lump_with_partitions ?pool:sw.sw_pool ?par_threshold:sw.sw_par_threshold mode md
+          partitions
       in
       Hashtbl.add sw.sw_rebuild_memo rebuild_key r.lumped;
       r
 
-let sweep_point ?tctx ?stats sw ~rewards ~initial =
+let sweep_point ?tctx sw ~rewards ~initial =
   Trace.with_ctx_opt tctx @@ fun () ->
   sw.sw_points <- sw.sw_points + 1;
   Metrics.incr c_sweep_points;
   let traced () =
-    if not (Trace.enabled ()) then sweep_point_body ?stats sw ~rewards ~initial
+    if not (Trace.enabled ()) then sweep_point_body sw ~rewards ~initial
     else begin
       let reused0 = sw.sw_level_reused and rebuilt0 = sw.sw_rebuilds in
       Trace.with_span ~cat:"lump"
         ~args:[ ("point", Trace.Int sw.sw_points) ]
         "sweep.point"
         (fun () ->
-          let r = sweep_point_body ?stats sw ~rewards ~initial in
+          let r = sweep_point_body sw ~rewards ~initial in
           Trace.add_args
             [
               ("levels_reused", Trace.Int (sw.sw_level_reused - reused0));
@@ -650,12 +555,12 @@ let sweep_stats sw =
 
 let sweep_cache sw = sw.sw_cache
 
-let lump_sweep ?tctx ?eps ?key ?stats ?cache ?pool ?par_threshold mode md ~points =
+let lump_sweep ?tctx ?eps ?key ?cache ?pool ?par_threshold mode md ~points =
   Trace.with_ctx_opt tctx @@ fun () ->
   let sw = sweep_create ?eps ?key ?cache ?pool ?par_threshold mode md in
   List.map
     (fun { sweep_rewards; sweep_initial } ->
-      sweep_point ?stats sw ~rewards:sweep_rewards ~initial:sweep_initial)
+      sweep_point sw ~rewards:sweep_rewards ~initial:sweep_initial)
     points
 
 let class_tuple r s =
@@ -672,7 +577,7 @@ let class_volume r ct =
 
 let lump_statespace r ss =
   if Statespace.levels ss <> Array.length r.partitions then
-    invalid_arg "Compositional.class_tuple: tuple length mismatch";
+    invalid_arg "Compositional.lump_statespace: level count mismatch";
   Set_mdd.relabel ss (fun l s -> Partition.class_of r.partitions.(l - 1) s)
 
 let is_closed r ss =

@@ -32,9 +32,6 @@ val lump :
   ?tctx:Mdl_obs.Trace.Ctx.t ->
   ?eps:float ->
   ?key:Local_key.choice ->
-  ?stats:Mdl_partition.Refiner.stats ->
-  ?specialised:bool ->
-  ?memoise:bool ->
   ?cache:Key_cache.t ->
   ?pool:Mdl_util.Domain_pool.t ->
   ?par_threshold:int ->
@@ -46,23 +43,20 @@ val lump :
 (** Run the full algorithm: per-level initial partitions from the
     decomposed [rewards] (ordinary — every listed reward function is
     protected and remains computable on the lumped chain) or [initial]
-    (exact), per-level fixed-point refinement, then rebuild.
-    [specialised] (default [true]) selects the interned-key refinement
-    pipeline per level — see {!Level_lumping.comp_lumping_level}.
-
-    [memoise] (default [true]) runs the specialised path through a
-    splitter-key cache ({!Key_cache}): per-node column walks are
-    memoised across fixed-point passes, key accumulation skips
-    singleton classes, the intern table is shared across all levels,
-    and the rebuild reuses nodes of identity levels verbatim (aliasing
-    the whole diagram when nothing lumps).  [~memoise:false] restores
-    the uncached pipeline — same partitions, same lumped diagram, same
-    splitter-pass count (pinned by the differential property tests),
-    more key-evaluation work.  Pass [cache] to share one cache (and its
-    hot intern table) across several lump calls — e.g. a bench sweep;
-    the cache is (re)bound to [md] at the start of the run, which
-    discards its memoised rows but keeps the interned-key storage.
-    [cache] is ignored when [memoise] or [specialised] is false.
+    (exact), per-level fixed-point refinement, then rebuild.  Every
+    level refines through the ranked pipeline fed by a splitter-key
+    cache ({!Level_lumping.comp_lumping_level}, {!Key_cache}): per-node
+    column walks are memoised across fixed-point passes, key
+    accumulation skips singleton classes, and the gid table is shared
+    across all levels; the rebuild reuses nodes of identity levels
+    verbatim (aliasing the whole diagram when nothing lumps).  The
+    differential property tests pin partitions and lumped diagram to
+    the oracle's reference ([Mdl_oracle.Refine_oracle.lump]: the seed
+    engine on uncached keys, then a from-scratch rebuild).  Pass
+    [cache] to share one cache (and its hot gid table) across several
+    lump calls — e.g. a bench sweep; the cache is (re)bound to [md] at
+    the start of the run, which discards its memoised rows but keeps
+    the interned-key storage.  Default: a fresh cache per call.
 
     [pool] runs the pipeline data-parallel on a {!Mdl_util.Domain_pool}:
     levels refine concurrently (each level runs the untouched sequential
@@ -82,19 +76,18 @@ val lump :
     to sequential (the trace buffer is not domain-safe); intra-level
     sharding stays on.
 
-    Observability: each level's refinement counters and wall time are
-    logged on the [mdl.lump] source at debug level; pass [stats] to
-    additionally accumulate the {!Mdl_partition.Refiner.stats} of every
-    level into one record (the [--stats] flag of [bin/lumpmd] does
-    this), including the cache hit/miss and node reuse counters.
-    [tctx] records the run's spans into that explicit
-    {!Mdl_obs.Trace.Ctx.t} instead of the caller's current context
-    (default) — how [lumpd] isolates concurrently traced requests;
-    {!sweep_point} and {!lump_sweep} take the same argument. *)
+    Observability: each level's class counts and wall time are logged
+    on the [mdl.lump] source at debug level; with the metrics registry
+    enabled ({!Mdl_obs.Metrics}) the run's refiner, cache and rebuild
+    counters accumulate there ([refiner.*], [key_cache.*],
+    [rebuild.nodes_rebuilt] / [rebuild.nodes_reused]) — the
+    [--stats] flag of [bin/lumpmd] prints their deltas.  [tctx]
+    records the run's spans into that explicit {!Mdl_obs.Trace.Ctx.t}
+    instead of the caller's current context (default) — how [lumpd]
+    isolates concurrently traced requests; {!sweep_point} and
+    {!lump_sweep} take the same argument. *)
 
 val lump_with_partitions :
-  ?stats:Mdl_partition.Refiner.stats ->
-  ?incremental:bool ->
   ?pool:Mdl_util.Domain_pool.t ->
   ?par_threshold:int ->
   Mdl_lumping.State_lumping.mode ->
@@ -103,16 +96,14 @@ val lump_with_partitions :
   result
 (** Rebuild only, with externally supplied per-level partitions (assumed
     locally lumpable — used by tests and by callers that compute
-    partitions separately).  With [incremental] (default [true]), levels
-    whose partition is the identity ([class_of s = s] for all [s]) are
-    imported node-for-node ({!Mdl_md.Md.import_node}); when {e every}
-    level is the identity the input diagram is aliased.
-    [~incremental:false] forces the from-scratch rebuild of every node —
-    the uncached baseline ([Compositional.lump ~memoise:false] uses it,
-    so the bench race measures cache plus incremental rebuild together).
-    [stats] receives the [nodes_rebuilt]/[nodes_reused] counters.
-    [pool] parallelises the incremental path's per-node quotient row
-    builds when a level has at least [par_threshold] class-indexed rows
+    partitions separately).  Levels whose partition is the identity
+    ([class_of s = s] for all [s]) are imported node-for-node
+    ({!Mdl_md.Md.import_node}); when {e every} level is the identity the
+    input diagram is aliased.  The other levels' nodes are rebuilt from
+    class-indexed rows, bit-identical to the oracle's from-scratch
+    entry-list rebuild.  The registry counters
+    [rebuild.nodes_rebuilt] / [rebuild.nodes_reused] account every live
+    node once.  [pool] parallelises the per-node quotient row builds when a level has at least [par_threshold] class-indexed rows
     to produce (default [1024], counted as nodes x classes); commits to
     the store stay sequential in node order, so the result is
     bit-identical at any domain count.
@@ -173,7 +164,6 @@ val sweep_create :
 
 val sweep_point :
   ?tctx:Mdl_obs.Trace.Ctx.t ->
-  ?stats:Mdl_partition.Refiner.stats ->
   sweep ->
   rewards:Decomposed.t list ->
   initial:Decomposed.t ->
@@ -183,8 +173,8 @@ val sweep_point :
     lumped diagram — the memo paths only replay exact-input matches),
     but amortises: the cache rebind is an epoch bump, level fixed
     points and the rebuild are memoised, and splitter rows recur via
-    the content-keyed store.  [stats] accumulates refiner counters of
-    the levels that actually ran (memo hits contribute nothing).
+    the content-keyed store.  Only the levels that actually ran add to
+    the registry's refiner counters (memo hits contribute nothing).
     Observability: a [sweep.point] span when tracing (levels then
     refine sequentially, as in {!lump}), a [sweep.point_seconds]
     histogram and [sweep.*] counters when metrics are on. *)
@@ -201,7 +191,6 @@ val lump_sweep :
   ?tctx:Mdl_obs.Trace.Ctx.t ->
   ?eps:float ->
   ?key:Local_key.choice ->
-  ?stats:Mdl_partition.Refiner.stats ->
   ?cache:Key_cache.t ->
   ?pool:Mdl_util.Domain_pool.t ->
   ?par_threshold:int ->
@@ -226,7 +215,9 @@ val class_volume : result -> int array -> int
 val lump_statespace : result -> Mdl_md.Statespace.t -> Mdl_md.Statespace.t
 (** Image of a reachable state space under {!class_tuple}: a per-level
     relabel-and-union of its counted MDD ({!Mdl_md.Set_mdd.relabel}),
-    [O(nodes)] — no state is enumerated. *)
+    [O(nodes)] — no state is enumerated.
+    @raise Invalid_argument when the state space and [r] have different
+    level counts. *)
 
 val is_closed : result -> Mdl_md.Statespace.t -> bool
 (** Whether the reachable state space is a union of global equivalence

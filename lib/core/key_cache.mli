@@ -7,8 +7,8 @@
     pass}; after the first pass most classes are unchanged, so most of
     those column walks recompute the very rows the previous pass
     already produced.  A [Key_cache.t] memoises each
-    {!Local_key.splitter_keys} result — the [(state, K(node, s, C))]
-    list of one node/splitter-class pair — and carries shared resources
+    {!Local_key.eval_keys} result — the [(state, K(node, s, C))]
+    pairs of one node/splitter-class pair — and carries shared resources
     with it:
 
     - a {e global} {!Mdl_util.Gid_table} hash-consing key values to
@@ -18,10 +18,10 @@
       bench sweep (it is never cleared, so its contents persist across
       {!bind}s).  Cached rows store [(state, gid)] pairs, so a cache hit
       involves no structural key hashing or equality at all — each
-      distinct key pays for hashing once, at miss time.  The per-pass
-      dense ranks of the interned refinement pipeline are recovered from
-      gids through an identity-hash [int] table on the engine side
-      ({!Level_lumping.comp_lumping_level});
+      distinct key pays for hashing once, at miss time.  The ranked
+      refinement pipeline turns gids into per-pass dense ranks by
+      stamped array lookups
+      ({!Mdl_partition.Refiner.comp_lumping_ranked});
     - the {!Local_key.context} (expanded-matrix flattening memo), kept
       for as long as the cache stays bound to the same diagram;
     - in persistent mode, a second intern table (splitter-class member
@@ -174,7 +174,7 @@ val splitter_keys :
   node:Mdl_md.Md.node_id ->
   Mdl_partition.Refiner.slice ->
   int array * int array
-(** Memoising front-end to {!Local_key.splitter_keys}, with keys
+(** Memoising front-end to {!Local_key.eval_keys}, with keys
     replaced by their gids in the global intern table: returns the
     cached parallel (states, gids) arrays — the shape
     {!Mdl_partition.Refiner.comp_lumping_ranked} consumes — when the
@@ -206,7 +206,7 @@ val hits : t -> int
     includes cross-bind store hits. *)
 
 val misses : t -> int
-(** Lookups that fell through to {!Local_key.splitter_keys}. *)
+(** Lookups that fell through to {!Local_key.eval_keys}. *)
 
 val cross_bind_hits : t -> int
 (** Lookups answered by the persistent store against a row list born in

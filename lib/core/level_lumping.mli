@@ -27,8 +27,6 @@ val initial_partition :
 val comp_lumping_level :
   ?eps:float ->
   ?key:Local_key.choice ->
-  ?stats:Mdl_partition.Refiner.stats ->
-  ?specialised:bool ->
   ?cache:Key_cache.t ->
   ?pool:Mdl_util.Domain_pool.t ->
   Mdl_lumping.State_lumping.mode ->
@@ -39,59 +37,31 @@ val comp_lumping_level :
 (** Fixed-point refinement over all live nodes of the level, starting
     from [initial].  [key] defaults to {!Local_key.Formal_sums} (the
     paper's choice); {!Local_key.Expanded_matrices} trades time for a
-    possibly coarser partition.  [stats] accumulates the refinement
-    engine's counters over every per-node run of the fixed point
-    ({!Mdl_partition.Refiner.stats}).
+    possibly coarser partition.
 
-    [specialised] (default [true]) runs every per-node refinement
-    through the interned-key pipeline
-    ({!Mdl_partition.Refiner.comp_lumping_interned}), sharing one
-    {!type:Mdl_partition.Refiner.intern_table} across the whole fixed point;
-    [~specialised:false] forces the generic closure-based pipeline.
-    Both compute the same partition ({!Local_key.splitter_keys} emits
-    quantized canonical keys, on which structural equality {e is}
-    lumping-key equality — pinned by the differential tests).
+    Every per-node refinement runs through the ranked pipeline
+    ({!Mdl_partition.Refiner.comp_lumping_ranked}) fed by a
+    {!Key_cache.t}: splitter-key evaluation is memoised across the
+    fixed point's passes, key accumulation skips classes already
+    singleton at the start of each per-node run, and the engine's split
+    trace is reported to the cache.  [cache] (default: a fresh plain
+    cache) is auto-bound to [md] if bound elsewhere (or unbound); when
+    already bound to [md] its rows are {e kept}, so the levels of one
+    {!Compositional.lump} run share one bind — callers invoking this
+    function directly with a reused cache must {!Key_cache.bind} between
+    independent runs (the memo is only sound while refinement of each
+    level is monotone; see {!Key_cache}).  The differential tests pin
+    the result to the oracle's reference fixed point, which evaluates
+    every key afresh through the seed engine.
 
-    [cache] (specialised path only; ignored with
-    [~specialised:false]) memoises splitter-key evaluation through a
-    {!Key_cache.t}, skips key accumulation for classes already singleton
-    at the start of each per-node run, and reports the engine's split
-    trace to the cache.  The cache is auto-bound to [md] if bound
-    elsewhere (or unbound); when already bound to [md] its rows are
-    {e kept}, so the levels of one {!Compositional.lump} run share one
-    bind — callers invoking this function directly with a reused cache
-    must {!Key_cache.bind} between independent runs (the memo is only
-    sound while refinement of each level is monotone; see
-    {!Key_cache}).  Partitions, lumped diagrams and splitter-pass counts
-    are unchanged by the cache (pinned by the differential tests); only
-    key-evaluation work and the [key_evals] / [cache_*] counters differ.
+    [pool] shards the ranked pipeline's per-pass class lookups across a
+    domain pool; intra-node splitter-key sharding is armed separately on
+    the cache via {!Key_cache.set_pool}.  Neither changes the computed
+    partition, the pass counts or any counter.
 
-    [pool] (cached path only) shards the ranked pipeline's per-pass
-    class lookups across a domain pool
-    ({!Mdl_partition.Refiner.comp_lumping_ranked}); intra-node
-    splitter-key sharding is armed separately on the cache via
-    {!Key_cache.set_pool}.  Neither changes the computed partition,
-    the pass counts or any counter.
-
-    The returned partition is canonicalised when fully discrete: if no
-    two states lump, the result is {!Mdl_partition.Partition.discrete}
-    (class ids = state ids), whatever ids refinement history would have
-    assigned.  @raise Invalid_argument on a bad level or partition size
-    mismatch. *)
-
-val key_intern_table : unit -> Local_key.t Mdl_partition.Refiner.intern_table
-(** A fresh interning table over {!Local_key.equal}/{!Local_key.hash} —
-    what [comp_lumping_level] shares across its fixed point.  Exposed
-    for the intern-table reuse tests. *)
-
-val is_locally_lumpable :
-  ?eps:float ->
-  Mdl_lumping.State_lumping.mode ->
-  Mdl_md.Md.t ->
-  level:int ->
-  Mdl_partition.Partition.t ->
-  bool
-(** Direct check of Definition 3's matrix conditions (with formal-sum
-    equality) for a given partition — the post-condition of
-    [comp_lumping_level], used by tests.  Does not check the reward /
-    initial-probability factor conditions. *)
+    The returned partition is canonicalised: if no two states lump, the
+    result is {!Mdl_partition.Partition.discrete} (class ids = state
+    ids), otherwise its classes are numbered by first appearance,
+    whatever ids refinement history would have assigned.
+    @raise Invalid_argument on a bad level or partition size mismatch,
+    or when [cache] recorded a different [(eps, key, mode)]. *)

@@ -157,8 +157,8 @@ let eval_keys ?eps ?skip ?pool ?(par_threshold = 1024) ctx choice mode node
       for i = first to first + len - 1 do
         List.iter (fun (s, sum) -> if not (skip s) then touch s sum) (entries i)
       done);
-  (* Quantize at emission: every pipeline downstream (generic compare,
-     interning, reference engine) then sees the same canonical key, and
+  (* Quantize at emission: every consumer downstream (gid interning,
+     the oracle's reference engine) then sees the same canonical key, and
      a sum whose coefficients all quantize away is dropped here exactly
      like the implicit zero key of an untouched state.  Emission order
      is pinned to what the historical list-building fold produced — the
@@ -185,7 +185,3 @@ let eval_keys ?eps ?skip ?pool ?(par_threshold = 1024) ctx choice mode node
   let m = !m in
   ( Array.init m (fun i -> tmp_s.(m - 1 - i)),
     Array.init m (fun i -> tmp_k.(m - 1 - i)) )
-
-let splitter_keys ?eps ?skip ctx choice mode node slice =
-  let states, keys = eval_keys ?eps ?skip ctx choice mode node slice in
-  List.init (Array.length states) (fun i -> (states.(i), keys.(i)))

@@ -20,17 +20,16 @@
     {b Quantization invariant.}  Tolerant float comparison
     ({!Mdl_util.Floatx.compare_approx}) is not transitive, so it must
     never decide how keys are grouped, sorted or interned — the classes
-    would depend on state order.  Instead, {!splitter_keys} quantizes
+    would depend on state order.  Instead, {!eval_keys} quantizes
     every coefficient (matrix entry) {e at emission} onto the
     [Floatx.quantize] grid and re-canonicalises (coefficients that
     quantize to zero drop out, a key that quantizes to the empty sum is
     not emitted at all, matching the implicit zero key of untouched
     states).  On such canonical keys the exact structural relations
     {!compare_exact} / {!equal} / {!hash} agree with lumping-key
-    equality, which is what makes hash-consing keys to integer ranks
-    ({!type:Mdl_partition.Refiner.intern_table}) sound: two keys intern to
-    the same rank iff the generic pipeline's comparator calls them
-    equal. *)
+    equality, which is what makes hash-consing keys to integer gids
+    ({!Key_cache}) sound: two keys intern to the same gid iff
+    {!compare_exact} calls them equal. *)
 
 type choice = Formal_sums | Expanded_matrices
 
@@ -39,19 +38,19 @@ type t
 
 val quantize : ?eps:float -> t -> t
 (** Quantize all float content onto the tolerance grid and
-    re-canonicalise.  Keys returned by {!splitter_keys} are already
+    re-canonicalise.  Keys returned by {!eval_keys} are already
     quantized; the function is idempotent. *)
 
 val compare_exact : t -> t -> int
 (** Exact structural total order ([Float.compare] on coefficients).  On
     {!quantize}d keys, [compare_exact a b = 0] iff [a] and [b] are equal
-    as lumping keys — the comparator to use in refinement specs fed by
-    {!splitter_keys}. *)
+    as lumping keys — the comparator to use on keys from
+    {!eval_keys}. *)
 
 val compare : ?eps:float -> t -> t -> int
 (** [compare_exact] of the {!quantize}d operands — a transitive total
     order; [0] = equal as lumping keys.  (Kept for callers holding raw,
-    un-quantized keys; on {!splitter_keys} output it coincides with
+    un-quantized keys; on {!eval_keys} output it coincides with
     {!compare_exact}.) *)
 
 val equal : t -> t -> bool
@@ -79,9 +78,24 @@ val eval_keys :
   Mdl_md.Md.node_id ->
   Mdl_partition.Refiner.slice ->
   int array * t array
-(** List-free core of {!splitter_keys}: the same [(s, key)] pairs as
-    parallel [(states, keys)] arrays, in exactly the order the list
-    version produces, with no intermediate list allocation.
+(** [eval_keys ctx choice mode node c] returns, as parallel
+    [(states, keys)] arrays, [(s, K(node, s, C))] for every level-local
+    state [s] whose key w.r.t. splitter class [C] (a zero-copy
+    {!Mdl_partition.Refiner.slice} of its members) is nonzero after
+    quantization, with all float content quantized by [eps] (default
+    {!Mdl_util.Floatx.default_eps}).  Ordinary mode sums the entries of
+    columns [C] per row; exact mode sums the entries of rows [C] per
+    column.
+
+    [skip] (default: skip nothing) suppresses key accumulation for
+    states it holds on, before any formal-sum work is done for them.
+    Intended for states alone in their class: a singleton class can
+    never split again, and the refinement engine treats an unlisted
+    state exactly like a listed one whose key group covers its whole
+    class — so skipping singletons changes no split decision, no
+    splitter-pass count, only the per-pass key evaluation work (it does
+    reduce the [refiner.key_evals] counter, which counts emitted
+    pairs).
 
     When [pool] is given (and the splitter class has at least
     [par_threshold] members, default [1024]), the member walk is
@@ -94,29 +108,3 @@ val eval_keys :
     walk at any domain count.  Requires {!Mdl_md.Md.warm_col_cache} on
     the context's diagram first (ordinary mode reads columns from any
     domain). *)
-
-val splitter_keys :
-  ?eps:float ->
-  ?skip:(int -> bool) ->
-  context ->
-  choice ->
-  Mdl_lumping.State_lumping.mode ->
-  Mdl_md.Md.node_id ->
-  Mdl_partition.Refiner.slice ->
-  (int * t) list
-(** [splitter_keys ctx choice mode node c] lists [(s, K(node, s, C))]
-    for every level-local state [s] whose key w.r.t. splitter class [C]
-    (a zero-copy {!Mdl_partition.Refiner.slice} of its members) is
-    nonzero after quantization, with all float content quantized by
-    [eps] (default {!Mdl_util.Floatx.default_eps}).  Ordinary mode sums
-    the entries of columns [C] per row; exact mode sums the entries of
-    rows [C] per column.
-
-    [skip] (default: skip nothing) suppresses key accumulation for
-    states it holds on, before any formal-sum work is done for them.
-    Intended for states alone in their class: a singleton class can
-    never split again, and the refinement engine treats an unlisted
-    state exactly like a listed one whose key group covers its whole
-    class — so skipping singletons changes no split decision, no
-    splitter-pass count, only the per-pass key evaluation work (it does
-    reduce the [key_evals] counter, which counts emitted pairs). *)

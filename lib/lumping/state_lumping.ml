@@ -5,36 +5,11 @@ module Floatx = Mdl_util.Floatx
 
 type mode = Ordinary | Exact
 
-(* Accumulate, for splitter class [c], the nonzero sums
-   sum_{j in c} m(s, j) per state s, where [m] is R for exact keys over
-   the transpose, or R^T for ordinary keys (columns of R).  [m] must be
-   the matrix whose row [j] lists the states touched by member [j]. *)
-let class_sums m (perm, first, len) =
-  let acc = Hashtbl.create 64 in
-  for i = first to first + len - 1 do
-    Csr.iter_row m perm.(i) (fun s v ->
-        let prev = Option.value ~default:0.0 (Hashtbl.find_opt acc s) in
-        Hashtbl.replace acc s (prev +. v))
-  done;
-  Hashtbl.fold (fun s v l -> if v <> 0.0 then (s, v) :: l else l) acc []
-
+(* Ordinary: K(R, s, C) = R(s, C) = sum over j in C of R(s, j); the
+   touched states of splitter C are the predecessors of C, found by
+   walking columns of R, i.e. rows of R^T.  Exact: K(R, s, C) =
+   R(C, s); touched states are successors, rows of R itself. *)
 let walk_matrix mode r = match mode with Ordinary -> Csr.transpose r | Exact -> r
-
-let refiner_spec ?eps mode r =
-  if Csr.rows r <> Csr.cols r then invalid_arg "State_lumping.refiner_spec: not square";
-  (* Ordinary: K(R, s, C) = R(s, C) = sum over j in C of R(s, j); the
-     touched states of splitter C are the predecessors of C, found by
-     walking columns of R, i.e. rows of R^T.  Exact: K(R, s, C) =
-     R(C, s); touched states are successors, rows of R itself.  Keys are
-     grouped through the quantized representative — compare_approx is
-     not transitive and must not order a sort (see {!Mdl_util.Floatx}). *)
-  let walk = walk_matrix mode r in
-  {
-    Refiner.size = Csr.rows r;
-    key_compare =
-      (fun a b -> Float.compare (Floatx.quantize ?eps a) (Floatx.quantize ?eps b));
-    splitter_keys = (fun c -> class_sums walk c);
-  }
 
 let float_spec ?eps mode r =
   if Csr.rows r <> Csr.cols r then invalid_arg "State_lumping.float_spec: not square";
@@ -43,9 +18,8 @@ let float_spec ?eps mode r =
   (* Accumulate splitter sums into dense per-state scratch instead of a
      hashtable: [acc] holds running sums, [touched] the states hit this
      pass.  Both are reset state-by-state after emission, so a pass
-     costs O(touched), not O(n).  The same drop rule as [class_sums]
-     applies (exact 0.0 sums are not emitted; the engine quantizes the
-     emitted keys inline). *)
+     costs O(touched), not O(n).  Exact 0.0 sums are not emitted; the
+     engine quantizes the emitted keys inline. *)
   let acc = Array.make n 0.0 in
   let seen = Array.make n false in
   let touched = Array.make n 0 in
@@ -70,10 +44,9 @@ let float_spec ?eps mode r =
   in
   { Refiner.fsize = n; feps = eps; fsplitter_keys }
 
-let coarsest ?eps ?stats ?(generic = false) mode r ~initial =
+let coarsest ?eps mode r ~initial =
   if Csr.rows r <> Csr.cols r then invalid_arg "State_lumping.coarsest: not square";
-  if generic then Refiner.comp_lumping ?stats (refiner_spec ?eps mode r) ~initial
-  else Refiner.comp_lumping_float ?stats (float_spec ?eps mode r) ~initial
+  Refiner.comp_lumping_float (float_spec ?eps mode r) ~initial
 
 let initial_partition ?eps mode mrp =
   let n = Mdl_ctmc.Mrp.size mrp in

@@ -10,30 +10,21 @@
 
 type mode = Ordinary | Exact
 
-val refiner_spec :
-  ?eps:float -> mode -> Mdl_sparse.Csr.t -> float Mdl_partition.Refiner.spec
-(** The generic flat-matrix refinement spec: row-sum keys [R(s, C)]
-    (ordinary) or column-sum keys [R(C, s)] (exact), with float keys
-    grouped by their {!Mdl_util.Floatx.quantize} representative.
-    Exposed for the differential refiner tests and the refinement
-    benchmark; {!coarsest} normally runs the equivalent {!float_spec}
-    through the monomorphic pipeline instead.
-    @raise Invalid_argument if [r] is not square. *)
-
 val float_spec :
   ?eps:float -> mode -> Mdl_sparse.Csr.t -> Mdl_partition.Refiner.float_spec
-(** The same keys as {!refiner_spec}, emitted into the refiner's unboxed
-    scratch buffers for the monomorphic float pipeline
-    ({!Mdl_partition.Refiner.comp_lumping_float}): splitter sums are
+(** The flat-matrix refinement spec: row-sum keys [R(s, C)]
+    (ordinary) or column-sum keys [R(C, s)] (exact), emitted into the
+    refiner's unboxed scratch buffers for the monomorphic float pipeline
+    ({!Mdl_partition.Refiner.comp_lumping_float}), which groups them by
+    their {!Mdl_util.Floatx.quantize} representative.  Splitter sums are
     accumulated in dense per-state scratch (reset in O(touched) per
-    pass) with no list or hashtable on the hot path.  Computes the
-    identical fixed point (pinned by the differential tests).
+    pass) with no list or hashtable on the hot path.  The differential
+    tests pin its fixed point to the seed engine's
+    ([Mdl_oracle.Refine_oracle]).
     @raise Invalid_argument if [r] is not square. *)
 
 val coarsest :
   ?eps:float ->
-  ?stats:Mdl_partition.Refiner.stats ->
-  ?generic:bool ->
   mode ->
   Mdl_sparse.Csr.t ->
   initial:Mdl_partition.Partition.t ->
@@ -42,10 +33,8 @@ val coarsest :
     of the chain with rate matrix [r] refining [initial].  For exact
     lumping the caller must ensure [initial] already separates states
     with different total exit rates [R(s, S)] (use {!initial_partition}
-    or {!coarsest_mrp}).  [stats] accumulates the refinement engine's
-    counters ({!Mdl_partition.Refiner.stats}).  Runs the monomorphic
-    float pipeline by default; [~generic:true] forces the generic
-    closure-based pipeline (for differential testing and benchmarks).
+    or {!coarsest_mrp}).  Runs {!float_spec} through the monomorphic
+    float pipeline.
     @raise Invalid_argument if [r] is not square or sizes mismatch. *)
 
 val initial_partition : ?eps:float -> mode -> Mdl_ctmc.Mrp.t -> Mdl_partition.Partition.t

@@ -8,13 +8,11 @@
     of an instrumentation site is then one bool load and branch — and
     reads ({!counter_value}, {!pp}, {!to_json}) work regardless.
 
-    The registry absorbs and supersedes the ad-hoc
-    [Mdl_partition.Refiner.stats] / [Mdl_core.Key_cache] counters: the
-    engine publishes every legacy counter into the registry under the
-    [refiner.*] / [key_cache.*] / [rebuild.*] names, and the record
-    types remain as a per-run compatibility view (one record can travel
-    through a call tree; the registry is cumulative).  The test suite
-    pins the two views equal over fresh runs.
+    The registry is the single counter source of the lumping pipeline:
+    the refinement engine, the splitter-key cache and the rebuild
+    publish under the [refiner.*] / [key_cache.*] / [rebuild.*] names,
+    and callers that want one run's numbers read {!counter_value}
+    deltas around it (what [lumpmd --stats] prints).
 
     Domain-safe: counters and gauges are [Atomic.t] cells ({!set_max}
     is a CAS loop), histograms shard their buckets by domain id and

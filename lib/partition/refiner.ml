@@ -10,10 +10,10 @@ let log_src = Logs.Src.create "mdl.refine" ~doc:"partition-refinement engine"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-(* Registry metrics: the cumulative view of the per-run [stats] records
-   below.  The int counters are published once per refinement run
-   ([publish_stats]); the latency histograms are fed per pass, guarded
-   by [Metrics.enabled] so the disabled cost is one branch. *)
+(* Registry metrics, the engine's only counter output.  The int
+   counters are tallied privately per run and published once at its end
+   ([publish]); the latency histograms are fed per pass, guarded by
+   [Metrics.enabled] so the disabled cost is one branch. *)
 let m_pass_seconds =
   Metrics.histogram ~buckets:(Metrics.log_buckets ~lo:1e-7 ~hi:1.0 ~per_decade:3)
     "refiner.pass_seconds"
@@ -33,76 +33,32 @@ let m_pass_keys =
 
 type slice = int array * int * int
 
-type 'k spec = {
-  size : int;
-  key_compare : 'k -> 'k -> int;
-  splitter_keys : slice -> (int * 'k) list;
-}
-
-type stats = {
+(* One run's counters, published into the registry once at the end of
+   the run ([publish]) — never per pass. *)
+type tally = {
   mutable splitter_passes : int;
   mutable key_evals : int;
   mutable splits : int;
   mutable blocks_created : int;
   mutable largest_skips : int;
-  mutable float_passes : int;
-  mutable interned_passes : int;
   mutable counting_sort_passes : int;
-  mutable fallback_passes : int;
   mutable intern_keys : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable nodes_rebuilt : int;
-  mutable nodes_reused : int;
   mutable wall_s : float;
 }
 
-let create_stats () =
+let create_tally () =
   {
     splitter_passes = 0;
     key_evals = 0;
     splits = 0;
     blocks_created = 0;
     largest_skips = 0;
-    float_passes = 0;
-    interned_passes = 0;
     counting_sort_passes = 0;
-    fallback_passes = 0;
     intern_keys = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    nodes_rebuilt = 0;
-    nodes_reused = 0;
     wall_s = 0.0;
   }
 
-let add_stats dst src =
-  dst.splitter_passes <- dst.splitter_passes + src.splitter_passes;
-  dst.key_evals <- dst.key_evals + src.key_evals;
-  dst.splits <- dst.splits + src.splits;
-  dst.blocks_created <- dst.blocks_created + src.blocks_created;
-  dst.largest_skips <- dst.largest_skips + src.largest_skips;
-  dst.float_passes <- dst.float_passes + src.float_passes;
-  dst.interned_passes <- dst.interned_passes + src.interned_passes;
-  dst.counting_sort_passes <- dst.counting_sort_passes + src.counting_sort_passes;
-  dst.fallback_passes <- dst.fallback_passes + src.fallback_passes;
-  dst.intern_keys <- max dst.intern_keys src.intern_keys;
-  dst.cache_hits <- dst.cache_hits + src.cache_hits;
-  dst.cache_misses <- dst.cache_misses + src.cache_misses;
-  dst.nodes_rebuilt <- dst.nodes_rebuilt + src.nodes_rebuilt;
-  dst.nodes_reused <- dst.nodes_reused + src.nodes_reused;
-  dst.wall_s <- dst.wall_s +. src.wall_s
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "passes %d (float %d, interned %d [counting %d], generic %d), key evals %d, splits \
-     %d, blocks created %d, largest skips %d, intern alphabet %d, key cache %d/%d \
-     hit/miss, nodes %d rebuilt %d reused, %.4fs"
-    s.splitter_passes s.float_passes s.interned_passes s.counting_sort_passes
-    s.fallback_passes s.key_evals s.splits s.blocks_created s.largest_skips
-    s.intern_keys s.cache_hits s.cache_misses s.nodes_rebuilt s.nodes_reused s.wall_s
-
-(* One splitter pass's keyed states after sorting, shared by all three
+(* One splitter pass's keyed states after sorting, shared by both
    pipelines: [pd_states]/[pd_classes] hold the touched states and their
    classes (recorded before any split of this pass relabels them),
    sorted by (class, key, state); [pd_newkey.(i)] marks positions whose
@@ -246,7 +202,7 @@ let core_body st ~prepare ~on_split ~initial =
       Trace.end_span "refine.pass"
     end
   done;
-  st.wall_s <- st.wall_s +. Timer.elapsed_s timer;
+  st.wall_s <- Timer.elapsed_s timer;
   p
 
 let core st ~fn ~size ~prepare ~on_split ~initial =
@@ -265,11 +221,7 @@ let core st ~fn ~size ~prepare ~on_split ~initial =
           ];
         p)
 
-let merge_stats stats st =
-  match stats with Some dst -> add_stats dst st | None -> ()
-
-(* The registry cells the per-run counters are published into — the
-   cumulative face of the same numbers [stats] carries per run. *)
+(* The registry cells a run's tally is published into. *)
 let c_splitter_passes = Metrics.counter "refiner.splitter_passes"
 
 let c_key_evals = Metrics.counter "refiner.key_evals"
@@ -286,91 +238,30 @@ let c_interned_passes = Metrics.counter "refiner.interned_passes"
 
 let c_counting_sort_passes = Metrics.counter "refiner.counting_sort_passes"
 
-let c_fallback_passes = Metrics.counter "refiner.fallback_passes"
-
 let c_runs = Metrics.counter "refiner.runs"
 
 let g_intern_alphabet = Metrics.gauge "refiner.intern_alphabet"
 
-let publish_stats st =
+(* Per-run epilogue: one registry publication ([pipeline] is the
+   pipeline's own pass counter) and a debug log line. *)
+let publish ~fn ~pipeline st =
   if Metrics.enabled () then begin
     Metrics.incr c_runs;
     Metrics.add c_splitter_passes st.splitter_passes;
+    Metrics.add pipeline st.splitter_passes;
     Metrics.add c_key_evals st.key_evals;
     Metrics.add c_splits st.splits;
     Metrics.add c_blocks_created st.blocks_created;
     Metrics.add c_largest_skips st.largest_skips;
-    Metrics.add c_float_passes st.float_passes;
-    Metrics.add c_interned_passes st.interned_passes;
     Metrics.add c_counting_sort_passes st.counting_sort_passes;
-    Metrics.add c_fallback_passes st.fallback_passes;
     Metrics.set_max g_intern_alphabet (float_of_int st.intern_keys);
     Metrics.observe m_run_seconds st.wall_s
-  end
-
-(* Per-run epilogue shared by the four pipelines: cumulative registry
-   publication, debug log, legacy per-run record accumulation. *)
-let finish ~fn st stats =
-  publish_stats st;
-  Log.debug (fun m -> m "%s: %a" fn pp_stats st);
-  merge_stats stats st
+  end;
+  Log.debug (fun m ->
+      m "%s: %d passes, %d key evals, %d splits, %.4fs" fn st.splitter_passes
+        st.key_evals st.splits st.wall_s)
 
 type on_split = parent:int -> ids:int list -> unit
-
-(* ---- generic (fallback) pipeline ---- *)
-
-let comp_lumping ?tctx ?stats ?on_split spec ~initial =
-  Trace.with_ctx_opt tctx @@ fun () ->
-  let st = create_stats () in
-  let prepare pd p slice =
-    st.fallback_passes <- st.fallback_passes + 1;
-    let keyed = spec.splitter_keys slice in
-    match keyed with
-    | [] -> 0
-    | (_, k0) :: _ ->
-        let m = List.length keyed in
-        (* Decorate into parallel arrays and sort indices once by
-           (current class, key, state): one sort both buckets the
-           touched states by class and groups them by key within each
-           class. *)
-        let ts = Array.make m 0 in
-        let tk = Array.make m k0 in
-        List.iteri
-          (fun i (s, k) ->
-            ts.(i) <- s;
-            tk.(i) <- k)
-          keyed;
-        let ord = Array.init m Fun.id in
-        Sortx.sort_by
-          (fun i j ->
-            let c =
-              Int.compare (Partition.class_of p ts.(i)) (Partition.class_of p ts.(j))
-            in
-            if c <> 0 then c
-            else
-              let c = spec.key_compare tk.(i) tk.(j) in
-              if c <> 0 then c else Int.compare ts.(i) ts.(j))
-          ord;
-        if Array.length pd.pd_states < m then begin
-          let cap = max m (2 * Array.length pd.pd_states) in
-          pd.pd_states <- Array.make cap 0;
-          pd.pd_classes <- Array.make cap 0;
-          pd.pd_newkey <- Array.make cap true
-        end;
-        for i = 0 to m - 1 do
-          let s = ts.(ord.(i)) in
-          pd.pd_states.(i) <- s;
-          pd.pd_classes.(i) <- Partition.class_of p s
-        done;
-        pd.pd_newkey.(0) <- true;
-        for i = 1 to m - 1 do
-          pd.pd_newkey.(i) <- spec.key_compare tk.(ord.(i - 1)) tk.(ord.(i)) <> 0
-        done;
-        m
-  in
-  let p = core st ~fn:"comp_lumping" ~size:spec.size ~prepare ~on_split ~initial in
-  finish ~fn:"comp_lumping" st stats;
-  p
 
 (* ---- monomorphic float pipeline ---- *)
 
@@ -401,15 +292,14 @@ type float_spec = {
   fsplitter_keys : slice -> float_buf -> unit;
 }
 
-let comp_lumping_float ?tctx ?stats ?on_split fspec ~initial =
+let comp_lumping_float ?tctx ?on_split fspec ~initial =
   Trace.with_ctx_opt tctx @@ fun () ->
-  let st = create_stats () in
+  let st = create_tally () in
   let buf = { fb_states = [||]; fb_keys = [||]; fb_len = 0 } in
   let cls = ref [||] in
   let nk = ref [||] in
   let eps = fspec.feps in
   let prepare pd p slice =
-    st.float_passes <- st.float_passes + 1;
     buf.fb_len <- 0;
     fspec.fsplitter_keys slice buf;
     let m = buf.fb_len in
@@ -443,76 +333,10 @@ let comp_lumping_float ?tctx ?stats ?on_split fspec ~initial =
     m
   in
   let p = core st ~fn:"comp_lumping_float" ~size:fspec.fsize ~prepare ~on_split ~initial in
-  finish ~fn:"comp_lumping_float" st stats;
+  publish ~fn:"comp_lumping_float" ~pipeline:c_float_passes st;
   p
 
-(* ---- interned-key pipeline ---- *)
-
-type 'k intern_table = {
-  it_hash : 'k -> int;
-  it_equal : 'k -> 'k -> bool;
-  mutable it_buckets : (int * 'k * int) list array; (* (hash, key, rank) *)
-  mutable it_used : int list; (* non-empty bucket indices, for O(distinct) clears *)
-  mutable it_count : int;
-  mutable it_hwm : int;
-}
-
-let intern_table ~hash ~equal () =
-  {
-    it_hash = hash;
-    it_equal = equal;
-    it_buckets = Array.make 256 [];
-    it_used = [];
-    it_count = 0;
-    it_hwm = 0;
-  }
-
-let intern_table_size t = max t.it_hwm t.it_count
-
-let intern_clear t =
-  if t.it_count > t.it_hwm then t.it_hwm <- t.it_count;
-  List.iter (fun b -> t.it_buckets.(b) <- []) t.it_used;
-  t.it_used <- [];
-  t.it_count <- 0
-
-let intern_grow t =
-  let cap = 2 * Array.length t.it_buckets in
-  let buckets = Array.make cap [] in
-  let used = ref [] in
-  List.iter
-    (fun b ->
-      List.iter
-        (fun ((h, _, _) as entry) ->
-          let b' = h land (cap - 1) in
-          if buckets.(b') = [] then used := b' :: !used;
-          buckets.(b') <- entry :: buckets.(b'))
-        t.it_buckets.(b))
-    t.it_used;
-  t.it_buckets <- buckets;
-  t.it_used <- !used
-
-(* Rank of [k]: existing rank if interned this pass, else the next
-   dense integer. *)
-let intern t k =
-  if t.it_count >= Array.length t.it_buckets then intern_grow t;
-  let h = t.it_hash k land max_int in
-  let b = h land (Array.length t.it_buckets - 1) in
-  let rec find = function
-    | [] ->
-        let r = t.it_count in
-        if t.it_buckets.(b) = [] then t.it_used <- b :: t.it_used;
-        t.it_buckets.(b) <- (h, k, r) :: t.it_buckets.(b);
-        t.it_count <- r + 1;
-        r
-    | (h', k', r) :: rest -> if h' = h && t.it_equal k k' then r else find rest
-  in
-  find t.it_buckets.(b)
-
-type 'k interned_spec = {
-  isize : int;
-  itable : 'k intern_table;
-  isplitter_keys : slice -> (int * 'k) list;
-}
+(* ---- ranked pipeline (pre-interned integer keys) ---- *)
 
 (* Counting sort costs two stable scatter passes plus O(alphabet)
    bucket resets; it wins when keys actually repeat and the pass is not
@@ -523,9 +347,8 @@ let use_counting_sort ~m ~alphabet = m >= 16 && 2 * alphabet <= m
 let ensure_int r n =
   if Array.length !r < n then r := Array.make (max n (2 * Array.length !r)) 0
 
-(* Scratch shared by the interned and ranked pipelines: parallel
-   (state, rank, class) triples plus a ping buffer for the two
-   counting-sort scatter passes. *)
+(* Ranked-pipeline scratch: parallel (state, rank, class) triples plus
+   a ping buffer for the two counting-sort scatter passes. *)
 type indexed_scratch = {
   a_states : int array ref;
   a_ranks : int array ref;
@@ -650,36 +473,6 @@ let sort_indexed st sc pd ~m ~alphabet =
   pd.pd_classes <- ca;
   pd.pd_newkey <- nk
 
-let comp_lumping_interned ?stats ?on_split ispec ~initial =
-  let st = create_stats () in
-  let table = ispec.itable in
-  let sc = indexed_scratch ~size:ispec.isize in
-  let prepare pd p slice =
-    st.interned_passes <- st.interned_passes + 1;
-    intern_clear table;
-    let keyed = ispec.isplitter_keys slice in
-    let m = List.length keyed in
-    if m > 0 then begin
-      ensure_indexed sc m;
-      let sa = !(sc.a_states) and ra = !(sc.a_ranks) and ca = !(sc.a_cls) in
-      List.iteri
-        (fun i (s, k) ->
-          sa.(i) <- s;
-          ra.(i) <- intern table k;
-          ca.(i) <- Partition.class_of p s)
-        keyed;
-      sort_indexed st sc pd ~m ~alphabet:table.it_count
-    end;
-    m
-  in
-  let p =
-    core st ~fn:"comp_lumping_interned" ~size:ispec.isize ~prepare ~on_split ~initial
-  in
-  finish ~fn:"comp_lumping_interned" st stats;
-  p
-
-(* ---- ranked pipeline (pre-interned integer keys) ---- *)
-
 type ranked_spec = {
   rsize : int;
   rsplitter_keys : slice -> int array * int array;
@@ -696,9 +489,8 @@ let ensure_int_keep r n =
     r := a
   end
 
-let comp_lumping_ranked ?stats ?on_split ?pool ?(par_threshold = 8192) rspec
-    ~initial =
-  let st = create_stats () in
+let comp_lumping_ranked ?on_split ?pool ?(par_threshold = 8192) rspec ~initial =
+  let st = create_tally () in
   let sc = indexed_scratch ~size:rspec.rsize in
   (* gid -> per-pass dense rank, via a stamp instead of clearing:
      [rank_of.(g)] is valid only when [stamp.(g)] equals the current
@@ -707,7 +499,6 @@ let comp_lumping_ranked ?stats ?on_split ?pool ?(par_threshold = 8192) rspec
   let stamp = ref [||] and rank_of = ref [||] in
   let pass_no = ref 0 in
   let prepare pd p slice =
-    st.interned_passes <- st.interned_passes + 1;
     incr pass_no;
     let states, gids = rspec.rsplitter_keys slice in
     let m = Array.length states in
@@ -756,41 +547,5 @@ let comp_lumping_ranked ?stats ?on_split ?pool ?(par_threshold = 8192) rspec
   let p =
     core st ~fn:"comp_lumping_ranked" ~size:rspec.rsize ~prepare ~on_split ~initial
   in
-  finish ~fn:"comp_lumping_ranked" st stats;
+  publish ~fn:"comp_lumping_ranked" ~pipeline:c_interned_passes st;
   p
-
-(* ---- pipeline selection ---- *)
-
-type packed =
-  | Spec : 'k spec -> packed
-  | Float_spec : float_spec -> packed
-  | Interned_spec : 'k interned_spec -> packed
-
-let run ?stats ?on_split packed ~initial =
-  match packed with
-  | Spec spec -> comp_lumping ?stats ?on_split spec ~initial
-  | Float_spec spec -> comp_lumping_float ?stats ?on_split spec ~initial
-  | Interned_spec spec -> comp_lumping_interned ?stats ?on_split spec ~initial
-
-let is_stable spec p =
-  let stable = ref true in
-  for splitter = 0 to Partition.num_classes p - 1 do
-    let keyed = spec.splitter_keys (Partition.view p splitter) in
-    let key_of = Hashtbl.create 16 in
-    List.iter (fun (s, k) -> Hashtbl.replace key_of s k) keyed;
-    for c = 0 to Partition.num_classes p - 1 do
-      let first = Hashtbl.find_opt key_of (Partition.representative p c) in
-      Partition.iter_class
-        (fun s ->
-          let k = Hashtbl.find_opt key_of s in
-          let same =
-            match (first, k) with
-            | None, None -> true
-            | Some k1, Some k2 -> spec.key_compare k1 k2 = 0
-            | None, Some _ | Some _, None -> false
-          in
-          if not same then stable := false)
-        p c
-    done
-  done;
-  !stable

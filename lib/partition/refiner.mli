@@ -24,40 +24,52 @@
     the largest join the worklist; when a pending splitter is split, all
     its sub-blocks stay pending.
 
-    {b Key pipelines.}  The same core runs behind three key pipelines:
+    {b Key pipelines.}  The same core runs behind two key pipelines,
+    one per key kind:
 
-    - the {b generic} pipeline ({!comp_lumping} over an ['k spec]) —
-      polymorphic keys through a closure, an intermediate
-      [(state, key) list] and a comparison sort.  The fallback, and the
-      differential baseline for the other two;
     - the {b monomorphic float} pipeline ({!comp_lumping_float}) — flat
       row/column-sum keys written into reusable unboxed scratch buffers
       ({!float_buf}), quantized inline ({!Mdl_util.Floatx.quantize}) and
       sorted by a fused three-array merge: no list, no boxed float, no
-      comparator closure;
-    - the {b interned-key} pipeline ({!comp_lumping_interned}) — each
-      distinct (pre-quantized) key is hash-consed to a dense integer
-      rank per pass ({!type:intern_table}), so key comparison collapses to
-      integer compare; when the rank alphabet is small relative to the
-      pass ({!use_counting_sort}) the (class, rank) pairs are
-      counting-sorted in O(m + alphabet) instead of comparison-sorted.
+      comparator closure.  Used for flat state-level lumping;
+    - the {b ranked} pipeline ({!comp_lumping_ranked}) — keys arrive
+      already hash-consed to integers (the gids of
+      [Mdl_core.Key_cache]) and are turned into dense per-pass ranks by
+      stamped array lookups, so key comparison is integer compare; when
+      the rank alphabet is small relative to the pass
+      ({!use_counting_sort}) the (class, rank) pairs are counting-sorted
+      in O(m + alphabet) instead of comparison-sorted.  Used for the
+      matrix-diagram levels.
 
-    All three compute the identical coarsest stable refinement (pinned
-    by differential property tests); {!run} dispatches a {!packed} spec
-    to its pipeline.
+    The list-based seed engine and the closure-keyed spec it runs on
+    live in the test oracle ([Mdl_oracle.Refine_oracle]), which the
+    differential tests pin both pipelines against.
 
     {b Key additivity.}  The largest-sub-block skip is sound only when
     keys are additive over disjoint unions of splitters,
-    [K(s, B1 union B2) = K(s, B1) + K(s, B2)] (with [key_compare]
+    [K(s, B1 union B2) = K(s, B1) + K(s, B2)] (with key equality
     respecting sums): stability against a parent block and all but one
     sub-block then implies stability against the remaining one.  Every
     key in this repository — row/column rate sums, formal sums, expanded
     matrices — is a sum over splitter members, so this holds by
     construction; a hypothetical non-additive key (e.g. a max) would
-    need the exhaustive engine of {!Refiner_reference}. *)
+    need an exhaustive engine that re-enqueues every sub-block.
+
+    {b Counters.}  The engine reports only through the metrics registry
+    ([Mdl_obs.Metrics], when enabled): each run tallies its counters
+    privately and publishes them once at its end under the [refiner.*]
+    names — [splitter_passes], [key_evals], [splits],
+    [blocks_created], [largest_skips], [counting_sort_passes], [runs],
+    the pipeline's own pass counter ([float_passes] or
+    [interned_passes]), the [intern_alphabet] high-water gauge and the
+    [run_seconds] histogram — plus per-pass latency histograms
+    ([refiner.pass_seconds], [refiner.sort_seconds],
+    [refiner.pass_keys]).  With tracing on, each run emits a
+    [refine.run] span containing one [refine.pass] span per worklist
+    pop. *)
 
 val log_src : Logs.src
-(** The engine's [Logs] source, [mdl.refine] — one per-run stats
+(** The engine's [Logs] source, [mdl.refine] — one per-run counter
     summary at debug level per pipeline run.  Level setup is shared
     across binaries via [Mdl_obs.Logging.setup]. *)
 
@@ -67,80 +79,6 @@ type slice = int array * int * int
     [perm.(first) .. perm.(first + len - 1)].  Valid only for the
     duration of one [splitter_keys] call (the next split invalidates
     it); must not be mutated. *)
-
-type 'k spec = {
-  size : int;  (** number of states *)
-  key_compare : 'k -> 'k -> int;
-      (** total order on keys; [0] means equal.  Beware using tolerant
-          float comparison here: {!Mdl_util.Floatx.compare_approx} is
-          not transitive, so grouping with it depends on input order —
-          quantize float keys ({!Mdl_util.Floatx.quantize}) and compare
-          exactly instead.  States of a class are grouped by runs of
-          equal keys. *)
-  splitter_keys : slice -> (int * 'k) list;
-      (** [splitter_keys c] lists [(s, K(s, C))] for every state [s]
-          whose key w.r.t. splitter class [C] (given as a zero-copy
-          {!slice} of its elements) is different from the zero key.
-          States not listed are treated as sharing the common zero key.
-          Must not list a state twice. *)
-}
-
-type stats = {
-  mutable splitter_passes : int;  (** worklist pops (splitters processed) *)
-  mutable key_evals : int;  (** (state, key) pairs returned by [splitter_keys] *)
-  mutable splits : int;  (** classes actually split *)
-  mutable blocks_created : int;  (** new class ids allocated by splits *)
-  mutable largest_skips : int;
-      (** splits whose largest sub-block was exempted from the worklist *)
-  mutable float_passes : int;  (** passes through the monomorphic float pipeline *)
-  mutable interned_passes : int;  (** passes through the interned-key pipeline *)
-  mutable counting_sort_passes : int;
-      (** interned passes that counting-sorted (vs the fused comparison
-          sort); always [<= interned_passes] *)
-  mutable fallback_passes : int;  (** passes through the generic fallback pipeline *)
-  mutable intern_keys : int;
-      (** largest interned-key alphabet (distinct keys) seen in any one
-          pass; [add_stats] takes the max, not the sum *)
-  mutable cache_hits : int;
-      (** splitter passes answered from the key cache — filled in by
-          {!Mdl_core.Key_cache} users (the engine itself never caches) *)
-  mutable cache_misses : int;
-      (** splitter passes whose keys were freshly evaluated under a key
-          cache — filled in by {!Mdl_core.Key_cache} users *)
-  mutable nodes_rebuilt : int;
-      (** lumped-diagram nodes reconstructed entry-by-entry during the
-          rebuild — filled in by {!Mdl_core.Compositional} *)
-  mutable nodes_reused : int;
-      (** lumped-diagram nodes reused structurally (verbatim import or
-          whole-diagram aliasing on identity partitions) — filled in by
-          {!Mdl_core.Compositional} *)
-  mutable wall_s : float;  (** monotonic wall time spent refining *)
-}
-(** Observability counters for one or more refinement runs, including
-    the per-pipeline breakdown ([splitter_passes = float_passes +
-    interned_passes + fallback_passes] for runs through this module).
-    The [cache_*] / [nodes_*] counters belong to the layers above the
-    engine (splitter-key memoisation, incremental diagram rebuild); they
-    live here so one record travels through
-    [Mdl_core.Compositional.lump] and out of [lumpmd --stats].
-
-    This record is the {e per-run compatibility view} of the registry
-    metrics: every pipeline run also publishes the same counters
-    cumulatively into [Mdl_obs.Metrics] under the [refiner.*] names
-    (when the registry is enabled), plus per-pass latency histograms
-    ([refiner.pass_seconds], [refiner.sort_seconds], [refiner.pass_keys])
-    the record cannot express; with tracing on, each run emits a
-    [refine.run] span containing one [refine.pass] span per worklist
-    pop.  The differential suites pin the two views equal. *)
-
-val create_stats : unit -> stats
-(** A fresh all-zero counter record. *)
-
-val add_stats : stats -> stats -> unit
-(** [add_stats dst src] accumulates [src] into [dst] (counters add,
-    wall times add, [intern_keys] takes the max). *)
-
-val pp_stats : Format.formatter -> stats -> unit
 
 type on_split = parent:int -> ids:int list -> unit
 (** Split-trace callback: invoked once per actual split, {e after} the
@@ -152,27 +90,6 @@ type on_split = parent:int -> ids:int list -> unit
     by {!Mdl_core.Compositional} to know which classes the final
     partition owes to an actual split. *)
 
-val comp_lumping :
-  ?tctx:Mdl_obs.Trace.Ctx.t ->
-  ?stats:stats ->
-  ?on_split:on_split ->
-  'k spec ->
-  initial:Partition.t ->
-  Partition.t
-(** [comp_lumping spec ~initial] returns the coarsest refinement of
-    [initial] that is stable under [spec.splitter_keys] splitting (the
-    input partition is not mutated; the result is an id-preserving
-    {!Partition.copy} refined in place, so when no split fires the
-    output has the same class ids and member order as [initial]).  When
-    [stats] is given, the run's counters and wall time are {e added}
-    onto it (so one record can aggregate several calls); [on_split]
-    exports the split trace.  Termination: a class re-enters the
-    worklist only when freshly created by a split, and partitions only
-    ever get finer.  [tctx] records the run's spans into that explicit
-    {!Mdl_obs.Trace.Ctx.t} instead of the caller's current context.
-    @raise Invalid_argument if [initial] is not over
-    [spec.size] states. *)
-
 (** {2 Monomorphic float pipeline} *)
 
 type float_buf
@@ -180,9 +97,9 @@ type float_buf
     splitter pass in parallel unboxed arrays. *)
 
 val emit : float_buf -> int -> float -> unit
-(** [emit buf s k] appends the pair [(s, k)] — the float-pipeline
-    equivalent of consing onto the generic [splitter_keys] result.  Keys
-    are emitted {e raw}; the engine quantizes them inline. *)
+(** [emit buf s k] appends the pair [(s, k)] to this pass's keyed
+    states.  Keys are emitted {e raw}; the engine quantizes them
+    inline. *)
 
 type float_spec = {
   fsize : int;  (** number of states *)
@@ -190,98 +107,60 @@ type float_spec = {
       (** quantization tolerance applied inline to every emitted key
           ([None] = {!Mdl_util.Floatx.default_eps}) *)
   fsplitter_keys : slice -> float_buf -> unit;
-      (** same contract as the generic [splitter_keys], emitting into
-          the engine's scratch buffer instead of building a list *)
+      (** [fsplitter_keys c buf] emits [(s, K(s, C))] for every state
+          [s] whose key w.r.t. splitter class [C] (given as a zero-copy
+          {!slice} of its elements) is different from the zero key.
+          States not emitted are treated as sharing the common zero key.
+          Must not emit a state twice. *)
 }
 
 val comp_lumping_float :
   ?tctx:Mdl_obs.Trace.Ctx.t ->
-  ?stats:stats ->
   ?on_split:on_split ->
   float_spec ->
   initial:Partition.t ->
   Partition.t
-(** {!comp_lumping} through the allocation-free float pipeline: same
-    fixed point as the generic engine over the spec
-    [{ key_compare = Float.compare on quantized keys; ... }]. *)
-
-(** {2 Interned-key pipeline} *)
-
-type 'k intern_table
-(** A hash-consing table mapping distinct keys to dense integer ranks
-    [0, 1, 2, ..] in order of first appearance.  The table is cleared
-    at the start of every splitter pass but its storage is reused, so
-    one table can (and should) be shared across all the refinement runs
-    of a fixed-point iteration — e.g. every per-node run of
-    [CompLumpingLevel]. *)
-
-val intern_table :
-  hash:('k -> int) -> equal:('k -> 'k -> bool) -> unit -> 'k intern_table
-(** [hash]/[equal] must agree ([equal a b] implies [hash a = hash b])
-    and [equal] must be the same equivalence [key_compare ... = 0] of
-    the generic spec being specialised — for float-coefficient keys that
-    means {e quantize before interning} (see {!Mdl_core.Local_key}). *)
-
-val intern_table_size : 'k intern_table -> int
-(** High-water number of distinct keys interned in any single pass so
-    far — the alphabet size the counting-sort decision is based on. *)
-
-val intern : 'k intern_table -> 'k -> int
-(** The rank of a key: its existing rank if already present, else the
-    next dense integer.  The engine calls this internally on [itable];
-    it is exposed so a table {e not} used as an [itable] can serve as a
-    persistent hash-cons with stable ids — {!Mdl_core.Key_cache} interns
-    each key once globally this way and re-ranks the resulting ids per
-    pass through a cheap identity-hash [int intern_table]. *)
-
-type 'k interned_spec = {
-  isize : int;  (** number of states *)
-  itable : 'k intern_table;  (** shared, reusable interning table *)
-  isplitter_keys : slice -> (int * 'k) list;
-      (** same contract as the generic [splitter_keys]; keys must
-          already be quantized/canonical so that the table's structural
-          [equal] coincides with lumping-key equality *)
-}
-
-val comp_lumping_interned :
-  ?stats:stats ->
-  ?on_split:on_split ->
-  'k interned_spec ->
-  initial:Partition.t ->
-  Partition.t
-(** {!comp_lumping} through the interned-key pipeline: each pass interns
-    the keys to ranks, then orders the (class, rank, state) triples by
-    counting sort when {!use_counting_sort} says the alphabet is small
-    enough, by fused integer comparison sort otherwise. *)
+(** [comp_lumping_float spec ~initial] returns the coarsest refinement
+    of [initial] that is stable under splitting by [spec]'s quantized
+    keys (the input partition is not mutated; the result is an
+    id-preserving {!Partition.copy} refined in place, so when no split
+    fires the output has the same class ids and member order as
+    [initial]).  [on_split] exports the split trace.  Termination: a
+    class re-enters the worklist only when freshly created by a split,
+    and partitions only ever get finer.  [tctx] records the run's spans
+    into that explicit {!Mdl_obs.Trace.Ctx.t} instead of the caller's
+    current context.
+    @raise Invalid_argument if [initial] is not over [spec.fsize]
+    states. *)
 
 (** {2 Ranked pipeline} *)
 
 type ranked_spec = {
   rsize : int;  (** number of states *)
   rsplitter_keys : slice -> int array * int array;
-      (** parallel (states, key ids) arrays for one splitter pass: keys
-          already hash-consed to integers whose equality coincides with
-          lumping-key equality (e.g. the stable gids of
-          {!Mdl_core.Key_cache}).  The arrays are read within the pass
+      (** parallel (states, key ids) arrays for one splitter pass, with
+          the same contract as [fsplitter_keys]: keys already
+          hash-consed to non-negative integers whose equality coincides
+          with lumping-key equality (e.g. the stable gids of
+          [Mdl_core.Key_cache]).  The arrays are read within the pass
           only — the caller may reuse or share them. *)
 }
 
 val comp_lumping_ranked :
-  ?stats:stats ->
   ?on_split:on_split ->
   ?pool:Mdl_util.Domain_pool.t ->
   ?par_threshold:int ->
   ranked_spec ->
   initial:Partition.t ->
   Partition.t
-(** The interned-key pipeline for producers whose keys are {e already}
-    integers: per-pass dense ranks come from a stamped array lookup per
-    pair instead of a hash-table probe, and the pair arrays are blitted
-    into the sort scratch rather than traversed as a list.  This is the
-    engine under the memoised splitter-key cache, where a cache hit
-    replays a previously interned row list; counters are reported as
-    interned passes ([interned_passes], [counting_sort_passes],
-    [intern_keys]), so cached and uncached runs stay comparable.
+(** {!comp_lumping_float}'s fixed point for producers whose keys are
+    {e already} integers: per-pass dense ranks come from a stamped array
+    lookup per pair, and the pair arrays are blitted into the sort
+    scratch.  This is the engine under the memoised splitter-key cache,
+    where a cache hit replays a previously interned row.  Its passes are
+    counted as [refiner.interned_passes].
+    @raise Invalid_argument if [initial] is not over [spec.rsize]
+    states.
 
     [pool] shards the per-pass class lookups ([Partition.class_of] into
     disjoint scratch slots — pure reads, placement-independent writes)
@@ -299,22 +178,3 @@ val use_counting_sort : m:int -> alphabet:int -> bool
     to comparison-sort (O(m log m)).  Requires keys to actually repeat
     ([2 * alphabet <= m]) and the pass not to be tiny ([m >= 16]).
     Exposed for the threshold-selection unit tests. *)
-
-(** {2 Pipeline selection} *)
-
-type packed =
-  | Spec : 'k spec -> packed
-  | Float_spec : float_spec -> packed
-  | Interned_spec : 'k interned_spec -> packed
-      (** A refinement spec packed with its pipeline choice; lets
-          callers carry "which engine" as a value. *)
-
-val run :
-  ?stats:stats -> ?on_split:on_split -> packed -> initial:Partition.t -> Partition.t
-(** Dispatch to {!comp_lumping} / {!comp_lumping_float} /
-    {!comp_lumping_interned}. *)
-
-val is_stable : 'k spec -> Partition.t -> bool
-(** [is_stable spec p] checks directly that every class of [p] is
-    key-constant w.r.t. every class of [p] as splitter — the
-    post-condition of the [comp_lumping] family, used by tests. *)

@@ -22,6 +22,7 @@ module Key_cache = Mdl_core.Key_cache
 module Refiner = Mdl_partition.Refiner
 module Spec = Mdl_oracle.Spec
 module Gen_md = Mdl_oracle.Gen_md
+module Refine_oracle = Mdl_oracle.Refine_oracle
 
 let partition_testable = Alcotest.testable Partition.pp Partition.equal
 
@@ -328,10 +329,10 @@ let test_concrete_lump () =
 let test_local_lumpability_checker () =
   let md, _sizes = concrete_md () in
   Alcotest.(check bool) "good partition accepted" true
-    (Level_lumping.is_locally_lumpable Ordinary md ~level:2
+    (Refine_oracle.is_locally_lumpable Ordinary md ~level:2
        (Partition.of_class_assignment [| 0; 1; 1 |]));
   Alcotest.(check bool) "bad partition rejected" false
-    (Level_lumping.is_locally_lumpable Ordinary md ~level:2
+    (Refine_oracle.is_locally_lumpable Ordinary md ~level:2
        (Partition.of_class_assignment [| 0; 0; 1 |]))
 
 let test_lumped_md_is_quotient_exact =
@@ -546,119 +547,77 @@ let test_md_solve_matches_flat () =
   let pi_flat, _ = Solver.steady_state ~tol:1e-13 ctmc in
   Alcotest.(check bool) "md solver = flat solver" true (Vec.diff_inf pi_md pi_flat < 1e-8)
 
-(* ----- specialised interned-key pipeline vs generic at level scope ----- *)
+(* ----- production refinement vs the seed-engine reference ----- *)
 
-let test_specialised_level_refinement_matches_generic =
-  QCheck.Test.make ~count:60
-    ~name:"interned level pipeline matches generic at every level (both modes)"
-    arb_sym_descriptor (fun spec ->
-      let k = build_symmetric_descriptor spec in
-      let md = Kronecker.to_md k in
-      let ok = ref true in
-      List.iter
-        (fun mode ->
-          for level = 1 to Md.levels md do
-            let initial = Partition.trivial (Md.size md level) in
-            let st_s = Refiner.create_stats () in
-            let st_g = Refiner.create_stats () in
-            let p_spec =
-              Level_lumping.comp_lumping_level ~stats:st_s mode md ~level ~initial
-            in
-            let p_gen =
-              Level_lumping.comp_lumping_level ~stats:st_g ~specialised:false mode md
-                ~level ~initial
-            in
-            if not (Partition.equal p_spec p_gen) then ok := false;
-            (* Every specialised pass must go through the interned
-               pipeline; every generic pass through the fallback. *)
-            if
-              st_s.Refiner.interned_passes <> st_s.Refiner.splitter_passes
-              || st_s.Refiner.fallback_passes <> 0
-            then ok := false;
-            if st_g.Refiner.fallback_passes <> st_g.Refiner.splitter_passes then
-              ok := false
-          done)
-        [ State_lumping.Ordinary; State_lumping.Exact ];
-      !ok)
+let modes_and_keys =
+  List.concat_map
+    (fun mode -> [ (mode, Local_key.Formal_sums); (mode, Local_key.Expanded_matrices) ])
+    [ State_lumping.Ordinary; State_lumping.Exact ]
 
-let test_level_intern_table_reuse () =
-  (* One table shared across the whole fixed point (as
-     [comp_lumping_level] does): re-running the same per-node
-     refinements must reuse the interned storage — the high-water mark
-     must not grow — and compute the same partition. *)
-  let md, _sizes = concrete_md () in
-  let ctx = Local_key.make_context md in
-  let table = Level_lumping.key_intern_table () in
-  let level = 2 in
-  let nodes = (Md.live_nodes md).(level - 1) in
-  let n = Md.size md level in
-  let spec_of node =
-    {
-      Refiner.isize = n;
-      itable = table;
-      isplitter_keys =
-        (fun c ->
-          Local_key.splitter_keys ctx Local_key.Formal_sums State_lumping.Ordinary node
-            c);
-    }
-  in
-  let run () =
-    List.fold_left
-      (fun p node -> Refiner.comp_lumping_interned (spec_of node) ~initial:p)
-      (Partition.trivial n) nodes
-  in
-  let p1 = run () in
-  let size1 = Refiner.intern_table_size table in
-  let p2 = run () in
-  let size2 = Refiner.intern_table_size table in
-  Alcotest.check partition_testable "same fixed point on reuse" p1 p2;
-  Alcotest.(check int) "intern storage high-water stable across reuse" size1 size2;
-  Alcotest.(check bool) "some keys interned" true (size1 > 0);
-  Alcotest.check partition_testable "matches comp_lumping_level"
-    (Level_lumping.comp_lumping_level State_lumping.Ordinary md ~level
-       ~initial:(Partition.trivial n))
-    p1
+let same_assignment a b = Partition.to_class_assignment a = Partition.to_class_assignment b
 
-(* ----- splitter-key cache: memoised pipeline vs uncached pipeline ----- *)
+(* Every level's fixed point through the key cache and the ranked
+   pipeline equals the seed engine's on uncached keys — canonical class
+   assignments included — and every pass is a ranked one. *)
+let test_level_refinement_matches_reference =
+  QCheck.Test.make ~count:40
+    ~name:"cached level fixed point = seed-engine reference (both modes, both keys)"
+    (Mdl_oracle.Qcheck_gen.model ()) (fun spec ->
+      let md = Gen_md.of_spec spec in
+      List.for_all
+        (fun (mode, key) ->
+          List.for_all
+            (fun level ->
+              let initial = Partition.trivial (Md.size md level) in
+              let p, delta =
+                Counters.deltas (fun () ->
+                    Level_lumping.comp_lumping_level ~key mode md ~level ~initial)
+              in
+              same_assignment p
+                (Refine_oracle.comp_lumping_level ~key mode md ~level ~initial)
+              && delta "refiner.interned_passes" = delta "refiner.splitter_passes"
+              (* From a trivial start, exact mode skips the full-row-sum
+                 condition the initial partition normally imposes. *)
+              && (mode = State_lumping.Exact
+                 || key = Local_key.Expanded_matrices
+                 || Refine_oracle.is_locally_lumpable mode md ~level p))
+            (List.init (Md.levels md) (fun i -> i + 1)))
+        modes_and_keys)
+
+(* ----- splitter-key cache: memoised lump vs the uncached reference ----- *)
 
 let lump_inputs md =
   let sizes = Md.sizes md in
   ([ Decomposed.constant ~sizes 0.0 ], Decomposed.constant ~sizes 1.0)
 
-(* The central parity property of the memoised path: same lumped
-   diagram (structurally, coefficients bit-exact), same per-level
-   partitions, and the very same number of splitter passes — the cache
-   must change what is computed, never what comes out.  Exercised over
-   all three oracle families: flat chains, Kronecker compilations and
-   free-form direct diagrams. *)
+(* The central parity property of the memoised path: the production lump
+   (key cache, singleton skip, ranked pipeline, incremental rebuild)
+   gives the same per-level partitions and the same lumped diagram
+   (structurally, coefficients bit-exact) as the oracle's reference,
+   which evaluates every key afresh through the seed engine and rebuilds
+   every node from scratch.  The cache must change what is computed,
+   never what comes out.  Exercised over all three oracle families:
+   flat chains, Kronecker compilations and free-form direct diagrams. *)
 let test_memoised_lump_matches_uncached =
   QCheck.Test.make ~count:40
-    ~name:"memoised lump = uncached lump (diagram, partitions, passes)"
+    ~name:
+      "memoised lump = uncached lump (diagram, partitions) of the seed-engine reference, \
+       both modes and keys"
     (Mdl_oracle.Qcheck_gen.model ()) (fun spec ->
       let md = Gen_md.of_spec spec in
       let rewards, initial = lump_inputs md in
-      let ok = ref true in
-      List.iter
-        (fun mode ->
-          let st_c = Refiner.create_stats () in
-          let st_u = Refiner.create_stats () in
-          let r_c = Compositional.lump ~stats:st_c ~memoise:true mode md ~rewards ~initial in
-          let r_u =
-            Compositional.lump ~stats:st_u ~memoise:false mode md ~rewards ~initial
+      List.for_all
+        (fun (mode, key) ->
+          let r_c, delta =
+            Counters.deltas (fun () -> Compositional.lump ~key mode md ~rewards ~initial)
           in
-          if not (Md.equal r_c.Compositional.lumped r_u.Compositional.lumped) then
-            ok := false;
-          if
-            not
-              (Array.for_all2 Partition.equal r_c.Compositional.partitions
-                 r_u.Compositional.partitions)
-          then ok := false;
-          if st_c.Refiner.splitter_passes <> st_u.Refiner.splitter_passes then ok := false;
-          (* the cached run actually went through the cache *)
-          if st_c.Refiner.cache_hits + st_c.Refiner.cache_misses = 0 then ok := false;
-          if st_u.Refiner.cache_hits + st_u.Refiner.cache_misses <> 0 then ok := false)
-        [ State_lumping.Ordinary; State_lumping.Exact ];
-      !ok)
+          let r_u = Refine_oracle.lump ~key mode md ~rewards ~initial in
+          Md.equal r_c.Compositional.lumped r_u.Compositional.lumped
+          && Array.for_all2 same_assignment r_c.Compositional.partitions
+               r_u.Compositional.partitions
+          (* the memoised run actually went through the cache *)
+          && delta "key_cache.hits" + delta "key_cache.misses" > 0)
+        modes_and_keys)
 
 let test_key_cache_invalidation () =
   (* Entries are keyed by (node, member, |C|); a split retires the
@@ -708,28 +667,44 @@ let test_key_cache_invalidation () =
 
 let test_singleton_skip () =
   (* Singleton classes of the run-start partition are skipped before key
-     evaluation on the memoised path: same fixed point, same splitter
-     pass count, strictly fewer key evaluations. *)
+     evaluation: against the same ranked fixed point over a cache that
+     never skips, same fixed point, same splitter pass count, strictly
+     fewer key evaluations. *)
   let md, _sizes = concrete_md () in
   let level = 2 in
   let initial () = Partition.of_class_assignment [| 0; 0; 1 |] in
-  let run cache =
-    let st = Refiner.create_stats () in
-    let p =
-      Level_lumping.comp_lumping_level ?cache ~stats:st State_lumping.Ordinary md ~level
-        ~initial:(initial ())
+  let no_skip () =
+    let kc = Key_cache.create () in
+    Key_cache.bind kc md;
+    let refine node p =
+      Refiner.comp_lumping_ranked
+        {
+          Refiner.rsize = Md.size md level;
+          rsplitter_keys =
+            (fun c ->
+              Key_cache.splitter_keys kc Local_key.Formal_sums State_lumping.Ordinary ~node c);
+        }
+        ~initial:p
     in
-    (p, st)
+    let rec fix p =
+      let p' = List.fold_left (fun p node -> refine node p) p (Md.live_nodes md).(level - 1) in
+      if Partition.equal p p' then p' else fix p'
+    in
+    fix (initial ())
   in
-  let p_u, st_u = run None in
-  let p_c, st_c = run (Some (Key_cache.create ())) in
+  let p_u, st_u = Counters.deltas no_skip in
+  let p_c, st_c =
+    Counters.deltas (fun () ->
+        Level_lumping.comp_lumping_level State_lumping.Ordinary md ~level
+          ~initial:(initial ()))
+  in
   Alcotest.check partition_testable "same fixed point" p_u p_c;
-  Alcotest.(check int) "same splitter pass count" st_u.Refiner.splitter_passes
-    st_c.Refiner.splitter_passes;
+  Alcotest.(check int) "same splitter pass count" (st_u "refiner.splitter_passes")
+    (st_c "refiner.splitter_passes");
   Alcotest.(check bool) "singleton keys skipped" true
-    (st_c.Refiner.key_evals < st_u.Refiner.key_evals);
+    (st_c "refiner.key_evals" < st_u "refiner.key_evals");
   Alcotest.(check bool) "cache consulted" true
-    (st_c.Refiner.cache_hits + st_c.Refiner.cache_misses > 0)
+    (st_c "key_cache.hits" + st_c "key_cache.misses" > 0)
 
 let test_shared_cache_across_models () =
   (* One cache across a sweep of different diagrams (the bench
@@ -941,36 +916,32 @@ let test_rebuild_counters () =
   (* Identity partitions at every level: the rebuild aliases the input
      diagram and accounts every live node as reused. *)
   let idp = Array.init (Md.levels md) (fun l -> Partition.discrete (Md.size md (l + 1))) in
-  let st = Refiner.create_stats () in
-  let r = Compositional.lump_with_partitions ~stats:st State_lumping.Ordinary md idp in
+  let r, st =
+    Counters.deltas (fun () ->
+        Compositional.lump_with_partitions State_lumping.Ordinary md idp)
+  in
   Alcotest.(check bool) "identity partitions alias the diagram" true
     (r.Compositional.lumped == md);
-  Alcotest.(check int) "nothing rebuilt" 0 st.Refiner.nodes_rebuilt;
+  Alcotest.(check int) "nothing rebuilt" 0 (st "rebuild.nodes_rebuilt");
   Alcotest.(check int) "all live nodes reused" (Md.num_live_nodes md)
-    st.Refiner.nodes_reused;
+    (st "rebuild.nodes_reused");
   (* A real lump of the same model: level 1 stays the identity (its
      nodes are imported verbatim), level 2 lumps (its nodes are
      rebuilt). *)
   let rewards, initial = lump_inputs md in
-  let st2 = Refiner.create_stats () in
-  let r2 = Compositional.lump ~stats:st2 State_lumping.Ordinary md ~rewards ~initial in
-  Alcotest.(check bool) "mixed run rebuilds some nodes" true
-    (st2.Refiner.nodes_rebuilt > 0);
-  Alcotest.(check bool) "mixed run reuses some nodes" true (st2.Refiner.nodes_reused > 0);
-  Alcotest.(check int) "every live node accounted once" (Md.num_live_nodes md)
-    (st2.Refiner.nodes_rebuilt + st2.Refiner.nodes_reused);
-  (* The from-scratch rebuild produces the same diagram while rebuilding
-     every node. *)
-  let st3 = Refiner.create_stats () in
-  let r3 =
-    Compositional.lump_with_partitions ~stats:st3 ~incremental:false
-      State_lumping.Ordinary md r2.Compositional.partitions
+  let r2, st2 =
+    Counters.deltas (fun () -> Compositional.lump State_lumping.Ordinary md ~rewards ~initial)
   in
+  Alcotest.(check bool) "mixed run rebuilds some nodes" true
+    (st2 "rebuild.nodes_rebuilt" > 0);
+  Alcotest.(check bool) "mixed run reuses some nodes" true (st2 "rebuild.nodes_reused" > 0);
+  Alcotest.(check int) "every live node accounted once" (Md.num_live_nodes md)
+    (st2 "rebuild.nodes_rebuilt" + st2 "rebuild.nodes_reused");
+  (* The oracle's from-scratch rebuild of every node produces the same
+     diagram. *)
   Alcotest.(check bool) "from-scratch rebuild agrees" true
-    (Md.equal r2.Compositional.lumped r3.Compositional.lumped);
-  Alcotest.(check int) "from-scratch reuses nothing" 0 st3.Refiner.nodes_reused;
-  Alcotest.(check int) "from-scratch rebuilds everything" (Md.num_live_nodes md)
-    st3.Refiner.nodes_rebuilt
+    (Md.equal r2.Compositional.lumped
+       (Refine_oracle.rebuild State_lumping.Ordinary md r2.Compositional.partitions))
 
 let qcheck_tests =
   [
@@ -981,7 +952,7 @@ let qcheck_tests =
     test_lumped_md_is_quotient_ordinary;
     test_lumped_md_is_quotient_exact;
     test_expanded_matrices_key_at_least_as_coarse;
-    test_specialised_level_refinement_matches_generic;
+    test_level_refinement_matches_reference;
     test_memoised_lump_matches_uncached;
     test_sweep_matches_per_point;
   ]
@@ -993,8 +964,6 @@ let tests =
     Alcotest.test_case "decomposed constant/vector" `Quick test_decomposed_constant_and_vector;
     Alcotest.test_case "concrete 2-level lump" `Quick test_concrete_lump;
     Alcotest.test_case "local lumpability checker" `Quick test_local_lumpability_checker;
-    Alcotest.test_case "intern table reuse across level fixed point" `Quick
-      test_level_intern_table_reuse;
     Alcotest.test_case "key cache invalidation" `Quick test_key_cache_invalidation;
     Alcotest.test_case "singleton classes skipped under the cache" `Quick
       test_singleton_skip;

@@ -52,6 +52,18 @@ let test_compositional_errors () =
     (Invalid_argument "Compositional.aggregate_vector: vector size mismatch") (fun () ->
       ignore (Compositional.aggregate_vector r ss lumped_ss [| 1.0 |]))
 
+let test_lump_statespace_level_count () =
+  (* Regression: the message used to name [class_tuple] and a tuple
+     length, neither of which is involved. *)
+  let r = tiny_result () in
+  let three_levels = Statespace.of_tuples ~levels:3 [ [| 0; 0; 0 |] ] in
+  Alcotest.check_raises "lump_statespace"
+    (Invalid_argument "Compositional.lump_statespace: level count mismatch") (fun () ->
+      ignore (Compositional.lump_statespace r three_levels));
+  Alcotest.check_raises "is_closed goes through lump_statespace"
+    (Invalid_argument "Compositional.lump_statespace: level count mismatch") (fun () ->
+      ignore (Compositional.is_closed r three_levels))
+
 let test_compositional_lumped_validation () =
   (* Regression: check_sizes used to ignore the lumped side entirely, so
      a statespace from a different model silently produced garbage. *)
@@ -256,6 +268,8 @@ let tests =
     Alcotest.test_case "compositional errors" `Quick test_compositional_errors;
     Alcotest.test_case "compositional lumped-side validation" `Quick
       test_compositional_lumped_validation;
+    Alcotest.test_case "lump_statespace level count mismatch" `Quick
+      test_lump_statespace_level_count;
     Alcotest.test_case "average_vector empty class" `Quick test_average_vector_empty_class;
     Alcotest.test_case "level lumping errors" `Quick test_level_lumping_errors;
     Alcotest.test_case "md_solve errors" `Quick test_md_solve_errors;

@@ -535,40 +535,38 @@ let test_metrics_json () =
   | _ -> Alcotest.fail "histogram not in JSON");
   Metrics.reset ()
 
-(* ----- the registry agrees with the legacy Refiner.stats view ----- *)
+(* ----- the registry's lump counters balance ----- *)
 
-let test_metrics_match_refiner_stats () =
-  Metrics.reset ();
-  Metrics.set_enabled true;
-  let stats = Refiner.create_stats () in
+let test_registry_lump_counters () =
+  (* The registry is the only counter source; over one lump its
+     counters must satisfy the identities the engine guarantees. *)
   let md, sizes = concrete_md () in
   let rewards = [ Decomposed.constant ~sizes 1.0 ] in
   let initial = Decomposed.constant ~sizes 1.0 in
-  ignore (Compositional.lump ~stats Ordinary md ~rewards ~initial);
-  Metrics.set_enabled false;
-  let check name legacy =
-    Alcotest.(check int) name legacy (Metrics.counter_value name)
+  let r, delta =
+    Counters.deltas (fun () -> Compositional.lump Ordinary md ~rewards ~initial)
   in
-  check "refiner.splitter_passes" stats.Refiner.splitter_passes;
-  check "refiner.key_evals" stats.Refiner.key_evals;
-  check "refiner.splits" stats.Refiner.splits;
-  check "refiner.blocks_created" stats.Refiner.blocks_created;
-  check "refiner.largest_skips" stats.Refiner.largest_skips;
-  check "refiner.float_passes" stats.Refiner.float_passes;
-  check "refiner.interned_passes" stats.Refiner.interned_passes;
-  check "refiner.counting_sort_passes" stats.Refiner.counting_sort_passes;
-  check "refiner.fallback_passes" stats.Refiner.fallback_passes;
-  check "key_cache.hits" stats.Refiner.cache_hits;
-  check "key_cache.misses" stats.Refiner.cache_misses;
-  check "rebuild.nodes_rebuilt" stats.Refiner.nodes_rebuilt;
-  check "rebuild.nodes_reused" stats.Refiner.nodes_reused;
-  Alcotest.(check bool) "some passes happened" true (stats.Refiner.splitter_passes > 0);
-  Alcotest.(check bool) "cache exercised" true
-    (stats.Refiner.cache_hits + stats.Refiner.cache_misses > 0);
-  Alcotest.(check (float 0.0)) "alphabet high-water mark"
-    (float_of_int stats.Refiner.intern_keys)
-    (Metrics.gauge_value "refiner.intern_alphabet");
-  Metrics.reset ()
+  let passes = delta "refiner.splitter_passes" in
+  Alcotest.(check bool) "some passes happened" true (passes > 0);
+  Alcotest.(check int) "every level pass is ranked" passes
+    (delta "refiner.interned_passes");
+  Alcotest.(check int) "no float passes" 0 (delta "refiner.float_passes");
+  Alcotest.(check int) "one key-cache lookup per pass" passes
+    (delta "key_cache.hits" + delta "key_cache.misses");
+  Alcotest.(check int) "every live node rebuilt or reused once" (Md.num_live_nodes md)
+    (delta "rebuild.nodes_rebuilt" + delta "rebuild.nodes_reused");
+  let initial_classes =
+    List.init (Md.levels md) (fun i ->
+        Partition.num_classes
+          (Mdl_core.Level_lumping.initial_partition Ordinary md ~level:(i + 1) ~rewards
+             ~initial))
+  in
+  Alcotest.(check int) "blocks created = final - initial classes"
+    (Array.fold_left (fun acc p -> acc + Partition.num_classes p) 0 r.Compositional.partitions
+    - List.fold_left ( + ) 0 initial_classes)
+    (delta "refiner.blocks_created");
+  Alcotest.(check bool) "alphabet high-water mark recorded" true
+    (Metrics.gauge_value "refiner.intern_alphabet" > 0.0)
 
 (* ----- transient solves report through the same epilogue -----
 
@@ -768,8 +766,8 @@ let tests =
     Alcotest.test_case "log buckets" `Quick test_log_buckets;
     Alcotest.test_case "metrics histograms" `Quick test_metrics_histograms;
     Alcotest.test_case "metrics JSON" `Quick test_metrics_json;
-    Alcotest.test_case "registry matches Refiner.stats" `Quick
-      test_metrics_match_refiner_stats;
+    Alcotest.test_case "registry lump counters balance" `Quick
+      test_registry_lump_counters;
     Alcotest.test_case "transient metrics pin" `Quick test_transient_metrics_pin;
     Alcotest.test_case "tracing changes no output" `Quick test_tracing_changes_nothing;
     Alcotest.test_case "generation spans" `Quick test_explore_spans;

@@ -1,8 +1,9 @@
-(* Tests for the refinable-partition data structure and the generic
-   refinement engine. *)
+(* Tests for the refinable-partition data structure and the refinement
+   engines, pinned to the oracle's seed engine. *)
 
 module Partition = Mdl_partition.Partition
 module Refiner = Mdl_partition.Refiner
+module Refine_oracle = Mdl_oracle.Refine_oracle
 
 let partition_testable = Alcotest.testable Partition.pp Partition.equal
 
@@ -74,10 +75,13 @@ let test_equal () =
 
 (* A tiny refinement spec: split by reachability keys of a fixed
    functional graph; classes end up grouping states with equal behaviour
-   with respect to successor membership counts. *)
+   with respect to successor membership counts.  [graph_spec] is the
+   oracle's closure-keyed form (seed engine, stability check); the
+   production engines get the same keys as integer gids (the counts
+   themselves) or as floats. *)
 let graph_spec edges n =
   {
-    Refiner.size = n;
+    Refine_oracle.size = n;
     key_compare = compare;
     splitter_keys =
       (fun (perm, first, len) ->
@@ -95,30 +99,54 @@ let graph_spec edges n =
         Hashtbl.fold (fun s k acc -> (s, k) :: acc) counts []);
   }
 
+let ranked_graph_spec edges n =
+  let spec = graph_spec edges n in
+  {
+    Refiner.rsize = n;
+    rsplitter_keys =
+      (fun c ->
+        let keyed = spec.Refine_oracle.splitter_keys c in
+        (Array.of_list (List.map fst keyed), Array.of_list (List.map snd keyed)));
+  }
+
+let float_graph_spec edges n =
+  let spec = graph_spec edges n in
+  {
+    Refiner.fsize = n;
+    feps = None;
+    fsplitter_keys =
+      (fun c buf ->
+        List.iter
+          (fun (s, k) -> Refiner.emit buf s (float_of_int k))
+          (spec.Refine_oracle.splitter_keys c));
+  }
+
+let ranked ?on_split edges n ~initial =
+  Refiner.comp_lumping_ranked ?on_split (ranked_graph_spec edges n) ~initial
+
 let test_refiner_bisimulation_like () =
   (* 0 -> 1 -> 2 (sink), 3 -> 4 -> 2: states 0/3 and 1/4 should pair up. *)
   let edges = [ (0, 1); (1, 2); (3, 4); (4, 2) ] in
-  let spec = graph_spec edges 5 in
-  let result = Refiner.comp_lumping spec ~initial:(Partition.trivial 5) in
+  let result = ranked edges 5 ~initial:(Partition.trivial 5) in
   Alcotest.check partition_testable "classic bisimulation classes"
     (Partition.of_class_assignment [| 0; 1; 2; 0; 1 |])
     result;
-  Alcotest.(check bool) "stable" true (Refiner.is_stable spec result)
+  Alcotest.(check bool) "stable" true (Refine_oracle.is_stable (graph_spec edges 5) result);
+  Alcotest.check partition_testable "float engine agrees" result
+    (Refiner.comp_lumping_float (float_graph_spec edges 5) ~initial:(Partition.trivial 5))
 
 let test_refiner_respects_initial () =
-  let edges = [] in
-  let spec = graph_spec edges 4 in
   let initial = Partition.of_class_assignment [| 0; 0; 1; 1 |] in
-  let result = Refiner.comp_lumping spec ~initial in
+  let result = ranked [] 4 ~initial in
   Alcotest.check partition_testable "no edges: initial unchanged" initial result;
   Alcotest.(check bool) "input not mutated" true
     (Partition.num_classes initial = 2)
 
 let test_refiner_size_mismatch () =
-  let spec = graph_spec [] 4 in
   Alcotest.check_raises "size mismatch"
-    (Invalid_argument "Refiner.comp_lumping: partition size mismatch") (fun () ->
-      ignore (Refiner.comp_lumping spec ~initial:(Partition.trivial 3)))
+    (Invalid_argument "Refiner.comp_lumping_float: partition size mismatch") (fun () ->
+      ignore
+        (Refiner.comp_lumping_float (float_graph_spec [] 4) ~initial:(Partition.trivial 3)))
 
 let test_view_iter_class () =
   let p = Partition.of_class_assignment [| 0; 1; 0; 1; 0 |] in
@@ -197,16 +225,15 @@ let test_on_split_trace () =
   (* The split trace must report every actual split, parent id first,
      and account exactly for the blocks the run created. *)
   let edges = [ (0, 1); (1, 2); (3, 4); (4, 2) ] in
-  let spec = graph_spec edges 5 in
-  let stats = Refiner.create_stats () in
   let trace = ref [] in
-  let result =
-    Refiner.comp_lumping ~stats
-      ~on_split:(fun ~parent ~ids -> trace := (parent, ids) :: !trace)
-      spec ~initial:(Partition.trivial 5)
+  let result, delta =
+    Counters.deltas (fun () ->
+        ranked
+          ~on_split:(fun ~parent ~ids -> trace := (parent, ids) :: !trace)
+          edges 5 ~initial:(Partition.trivial 5))
   in
   Alcotest.(check bool) "some splits traced" true (!trace <> []);
-  Alcotest.(check int) "one callback per split" stats.Refiner.splits
+  Alcotest.(check int) "one callback per split" (delta "refiner.splits")
     (List.length !trace);
   List.iter
     (fun (parent, ids) ->
@@ -214,7 +241,7 @@ let test_on_split_trace () =
       Alcotest.(check int) "parent id listed first" parent (List.hd ids))
     !trace;
   Alcotest.(check int) "traced fresh ids = blocks_created"
-    stats.Refiner.blocks_created
+    (delta "refiner.blocks_created")
     (List.fold_left (fun acc (_, ids) -> acc + List.length ids - 1) 0 !trace);
   (* every traced id is a class id of the final partition (ids are
      stable once allocated) *)
@@ -227,82 +254,50 @@ let test_on_split_trace () =
         ids)
     !trace
 
-(* ---- worklist bookkeeping / stats instrumentation ---- *)
+(* ---- worklist bookkeeping / registry counters ---- *)
 
 let test_stats_all_discrete () =
   (* Discrete initial partition: nothing to split; every class is passed
      over as a splitter exactly once and no blocks are created. *)
   let n = 7 in
-  let spec = graph_spec [ (0, 1); (1, 2); (2, 3) ] n in
-  let stats = Refiner.create_stats () in
-  let result = Refiner.comp_lumping ~stats spec ~initial:(Partition.discrete n) in
+  let result, delta =
+    Counters.deltas (fun () ->
+        ranked [ (0, 1); (1, 2); (2, 3) ] n ~initial:(Partition.discrete n))
+  in
   Alcotest.(check int) "still discrete" n (Partition.num_classes result);
-  Alcotest.(check int) "no splits" 0 stats.Refiner.splits;
-  Alcotest.(check int) "no blocks created" 0 stats.Refiner.blocks_created;
-  Alcotest.(check int) "one pass per initial class" n stats.Refiner.splitter_passes
+  Alcotest.(check int) "no splits" 0 (delta "refiner.splits");
+  Alcotest.(check int) "no blocks created" 0 (delta "refiner.blocks_created");
+  Alcotest.(check int) "one pass per initial class" n (delta "refiner.splitter_passes")
 
 let test_stats_giant_class () =
   (* One giant class refined to the bisimulation fixed point; block
      accounting must balance: final = initial + blocks_created. *)
   let edges = [ (0, 1); (1, 2); (3, 4); (4, 2) ] in
-  let spec = graph_spec edges 5 in
-  let stats = Refiner.create_stats () in
-  let result = Refiner.comp_lumping ~stats spec ~initial:(Partition.trivial 5) in
+  let result, delta =
+    Counters.deltas (fun () -> ranked edges 5 ~initial:(Partition.trivial 5))
+  in
   Alcotest.(check int) "blocks_created = final - initial"
     (Partition.num_classes result - 1)
-    stats.Refiner.blocks_created;
-  Alcotest.(check bool) "some splits happened" true (stats.Refiner.splits > 0);
+    (delta "refiner.blocks_created");
+  Alcotest.(check bool) "some splits happened" true (delta "refiner.splits" > 0);
   Alcotest.(check bool) "splits <= blocks created" true
-    (stats.Refiner.splits <= stats.Refiner.blocks_created);
-  Alcotest.(check bool) "wall time recorded" true (stats.Refiner.wall_s >= 0.0)
+    (delta "refiner.splits" <= delta "refiner.blocks_created");
+  Alcotest.(check int) "one run" 1 (delta "refiner.runs")
 
 let test_stats_singleton_mixed () =
   (* Singletons mixed with a large class; largest-block skips only make
      sense once a settled class splits. *)
   let n = 8 in
   let edges = [ (2, 0); (3, 0); (4, 1); (5, 1); (6, 0); (6, 1); (7, 0); (7, 1) ] in
-  let spec = graph_spec edges n in
   let initial = Partition.of_class_assignment [| 1; 2; 0; 0; 0; 0; 0; 0 |] in
-  let stats = Refiner.create_stats () in
-  let result = Refiner.comp_lumping ~stats spec ~initial in
-  Alcotest.(check bool) "stable" true (Refiner.is_stable spec result);
+  let result, delta = Counters.deltas (fun () -> ranked edges n ~initial) in
+  Alcotest.(check bool) "stable" true (Refine_oracle.is_stable (graph_spec edges n) result);
   Alcotest.(check int) "blocks_created = final - initial"
     (Partition.num_classes result - Partition.num_classes initial)
-    stats.Refiner.blocks_created;
+    (delta "refiner.blocks_created");
   (* classes: {0} {1} {2,3} {4,5} {6,7} *)
   Alcotest.(check int) "fixed point" 5 (Partition.num_classes result);
-  Alcotest.(check bool) "key evaluations counted" true (stats.Refiner.key_evals > 0)
-
-let test_add_stats () =
-  let a = Refiner.create_stats () in
-  let b = Refiner.create_stats () in
-  a.Refiner.splits <- 2;
-  a.Refiner.wall_s <- 0.5;
-  a.Refiner.intern_keys <- 5;
-  b.Refiner.splits <- 3;
-  b.Refiner.key_evals <- 7;
-  b.Refiner.wall_s <- 0.25;
-  b.Refiner.intern_keys <- 3;
-  Refiner.add_stats a b;
-  Alcotest.(check int) "splits summed" 5 a.Refiner.splits;
-  Alcotest.(check int) "key_evals summed" 7 a.Refiner.key_evals;
-  Alcotest.(check (float 1e-9)) "wall summed" 0.75 a.Refiner.wall_s;
-  Alcotest.(check int) "intern_keys takes max" 5 a.Refiner.intern_keys;
-  b.Refiner.intern_keys <- 9;
-  Refiner.add_stats a b;
-  Alcotest.(check int) "intern_keys max updates" 9 a.Refiner.intern_keys
-
-(* ---- specialised pipelines: interned keys, counting sort, float ---- *)
-
-(* The same graph keys as [graph_spec], fed through the interned-key
-   pipeline: ranks come from hash-consing the int counts. *)
-let interned_graph_spec edges n =
-  let spec = graph_spec edges n in
-  {
-    Refiner.isize = n;
-    itable = Refiner.intern_table ~hash:Hashtbl.hash ~equal:Int.equal ();
-    isplitter_keys = spec.Refiner.splitter_keys;
-  }
+  Alcotest.(check bool) "key evaluations counted" true (delta "refiner.key_evals" > 0)
 
 let test_use_counting_sort_threshold () =
   (* Pin the decision boundary: keys must repeat (2 * alphabet <= m) and
@@ -318,159 +313,76 @@ let test_use_counting_sort_threshold () =
     (Refiner.use_counting_sort ~m:15 ~alphabet:1)
 
 let test_counting_sort_pipeline () =
-  (* 100 states, every state has edges into {0, 1}: big splitter passes
-     with a tiny key alphabet, so the counting sort must fire — and the
-     result must match the generic pipeline exactly. *)
-  let n = 100 in
-  let edges =
-    List.concat_map
-      (fun s -> if s mod 3 = 0 then [ (s, 0); (s, 1) ] else [ (s, 0) ])
-      (List.init n Fun.id)
+  (* The counting sort inside the production level path: the polling
+     station's second level (765 states) has large splitter passes over
+     a small rank alphabet.  The cached fixed point must take it and
+     still equal the seed engine's. *)
+  let md = (Mdl_models.Polling.build (Mdl_models.Polling.default ~customers:4)).md in
+  let level = 2 in
+  let initial = Partition.trivial (Mdl_md.Md.size md level) in
+  let p, delta =
+    Counters.deltas (fun () ->
+        Mdl_core.Level_lumping.comp_lumping_level Ordinary md ~level ~initial)
   in
-  let spec = graph_spec edges n in
-  let stats = Refiner.create_stats () in
-  let p_int =
-    Refiner.comp_lumping_interned ~stats (interned_graph_spec edges n)
-      ~initial:(Partition.trivial n)
-  in
-  let p_gen = Refiner.comp_lumping spec ~initial:(Partition.trivial n) in
-  Alcotest.check partition_testable "counting-sorted = generic" p_gen p_int;
-  Alcotest.(check bool) "counting sort fired" true (stats.Refiner.counting_sort_passes > 0);
-  Alcotest.(check int) "all passes interned" stats.Refiner.splitter_passes
-    stats.Refiner.interned_passes;
-  Alcotest.(check int) "no fallback passes" 0 stats.Refiner.fallback_passes;
-  Alcotest.(check bool) "alphabet recorded" true (stats.Refiner.intern_keys > 0)
+  Alcotest.(check bool) "counting sort fired" true (delta "refiner.counting_sort_passes" > 0);
+  Alcotest.check partition_testable "counting-sorted level fixed point = seed engine"
+    (Refine_oracle.comp_lumping_level Ordinary md ~level ~initial)
+    p
 
 let test_pipeline_counters () =
-  (* Each entry point attributes every splitter pass to its own
-     pipeline counter. *)
+  (* Each engine attributes every splitter pass to its own pipeline
+     counter. *)
   let edges = [ (0, 1); (1, 2); (3, 4); (4, 2) ] in
   let n = 5 in
-  let spec = graph_spec edges n in
-  let gen_stats = Refiner.create_stats () in
-  let p_gen = Refiner.comp_lumping ~stats:gen_stats spec ~initial:(Partition.trivial n) in
-  Alcotest.(check int) "generic: all passes fallback" gen_stats.Refiner.splitter_passes
-    gen_stats.Refiner.fallback_passes;
-  Alcotest.(check int) "generic: no float passes" 0 gen_stats.Refiner.float_passes;
-  Alcotest.(check int) "generic: no interned passes" 0 gen_stats.Refiner.interned_passes;
-  let int_stats = Refiner.create_stats () in
-  let p_int =
-    Refiner.comp_lumping_interned ~stats:int_stats (interned_graph_spec edges n)
-      ~initial:(Partition.trivial n)
-  in
-  Alcotest.check partition_testable "interned = generic" p_gen p_int;
-  Alcotest.(check int) "interned: all passes interned" int_stats.Refiner.splitter_passes
-    int_stats.Refiner.interned_passes;
-  Alcotest.(check int) "interned: no fallback" 0 int_stats.Refiner.fallback_passes;
+  let _, rnk = Counters.deltas (fun () -> ranked edges n ~initial:(Partition.trivial n)) in
+  Alcotest.(check bool) "ranked: some passes" true (rnk "refiner.splitter_passes" > 0);
+  Alcotest.(check int) "ranked: all passes interned" (rnk "refiner.splitter_passes")
+    (rnk "refiner.interned_passes");
+  Alcotest.(check int) "ranked: no float passes" 0 (rnk "refiner.float_passes");
   let r =
     Mdl_sparse.Csr.of_triplets ~rows:4 ~cols:4
       [ (0, 1, 1.0); (1, 2, 1.0); (2, 3, 1.0); (3, 0, 1.0) ]
   in
-  let flt_stats = Refiner.create_stats () in
-  ignore
-    (Refiner.comp_lumping_float ~stats:flt_stats
-       (Mdl_lumping.State_lumping.float_spec Ordinary r)
-       ~initial:(Partition.trivial 4));
-  Alcotest.(check int) "float: all passes float" flt_stats.Refiner.splitter_passes
-    flt_stats.Refiner.float_passes;
-  Alcotest.(check int) "float: no fallback" 0 flt_stats.Refiner.fallback_passes
-
-let test_intern_table_reuse () =
-  (* One table across several runs: cleared per pass, storage retained,
-     high-water mark preserved. *)
-  let edges = [ (0, 1); (1, 2); (3, 4); (4, 2); (2, 0) ] in
-  let n = 5 in
-  let ispec = interned_graph_spec edges n in
-  let p1 = Refiner.comp_lumping_interned ispec ~initial:(Partition.trivial n) in
-  let hw1 = Refiner.intern_table_size ispec.Refiner.itable in
-  Alcotest.(check bool) "alphabet seen" true (hw1 > 0);
-  let p2 = Refiner.comp_lumping_interned ispec ~initial:(Partition.trivial n) in
-  Alcotest.check partition_testable "reused table, same fixed point" p1 p2;
-  Alcotest.(check int) "high-water stable across reuse" hw1
-    (Refiner.intern_table_size ispec.Refiner.itable)
-
-(* The same graph keys again, fed through the ranked pipeline: keys are
-   pre-interned to stable gids through a persistent table (the
-   Key_cache arrangement) and handed over as parallel arrays. *)
-let ranked_graph_spec edges n =
-  let spec = graph_spec edges n in
-  let table = Refiner.intern_table ~hash:Hashtbl.hash ~equal:Int.equal () in
-  {
-    Refiner.rsize = n;
-    rsplitter_keys =
-      (fun c ->
-        let keyed = spec.Refiner.splitter_keys c in
-        let m = List.length keyed in
-        let states = Array.make m 0 and gids = Array.make m 0 in
-        List.iteri
-          (fun i (s, k) ->
-            states.(i) <- s;
-            gids.(i) <- Refiner.intern table k)
-          keyed;
-        (states, gids));
-  }
+  let _, flt =
+    Counters.deltas (fun () ->
+        Refiner.comp_lumping_float
+          (Mdl_lumping.State_lumping.float_spec Ordinary r)
+          ~initial:(Partition.trivial 4))
+  in
+  Alcotest.(check int) "float: all passes float" (flt "refiner.splitter_passes")
+    (flt "refiner.float_passes");
+  Alcotest.(check int) "float: no interned passes" 0 (flt "refiner.interned_passes")
 
 let test_ranked_pipeline () =
   let edges = [ (0, 1); (1, 2); (3, 4); (4, 2) ] in
   let n = 5 in
   let initial = Partition.trivial n in
-  let p_gen = Refiner.comp_lumping (graph_spec edges n) ~initial in
-  let stats = Refiner.create_stats () in
-  let p_rnk = Refiner.comp_lumping_ranked ~stats (ranked_graph_spec edges n) ~initial in
-  Alcotest.check partition_testable "ranked = generic" p_gen p_rnk;
-  (* ranked passes are reported as interned passes so cached and
-     uncached runs stay comparable in the stats record *)
-  Alcotest.(check int) "all passes interned" stats.Refiner.splitter_passes
-    stats.Refiner.interned_passes;
-  Alcotest.(check int) "no fallback passes" 0 stats.Refiner.fallback_passes;
-  Alcotest.(check bool) "alphabet recorded" true (stats.Refiner.intern_keys > 0);
+  let p_ref = Refine_oracle.comp_lumping (graph_spec edges n) ~initial in
+  let p_rnk, delta = Counters.deltas (fun () -> ranked edges n ~initial) in
+  Alcotest.check partition_testable "ranked = seed" p_ref p_rnk;
+  Alcotest.(check int) "all passes interned" (delta "refiner.splitter_passes")
+    (delta "refiner.interned_passes");
   Alcotest.check_raises "size mismatch"
     (Invalid_argument "Refiner.comp_lumping_ranked: partition size mismatch") (fun () ->
-      ignore
-        (Refiner.comp_lumping_ranked (ranked_graph_spec edges n)
-           ~initial:(Partition.trivial 3)))
+      ignore (ranked edges n ~initial:(Partition.trivial 3)))
 
 let test_ranked_counting_sort () =
   (* Big passes over a tiny gid alphabet: the ranked pipeline must reach
-     the counting sort and still agree with the generic engine. *)
+     the counting sort and still agree with the seed engine. *)
   let n = 100 in
   let edges =
     List.concat_map
       (fun s -> if s mod 3 = 0 then [ (s, 0); (s, 1) ] else [ (s, 0) ])
       (List.init n Fun.id)
   in
-  let stats = Refiner.create_stats () in
-  let p_rnk =
-    Refiner.comp_lumping_ranked ~stats (ranked_graph_spec edges n)
-      ~initial:(Partition.trivial n)
-  in
-  let p_gen = Refiner.comp_lumping (graph_spec edges n) ~initial:(Partition.trivial n) in
-  Alcotest.check partition_testable "ranked counting sort = generic" p_gen p_rnk;
-  Alcotest.(check bool) "counting sort fired" true (stats.Refiner.counting_sort_passes > 0)
+  let p_rnk, delta = Counters.deltas (fun () -> ranked edges n ~initial:(Partition.trivial n)) in
+  let p_ref = Refine_oracle.comp_lumping (graph_spec edges n) ~initial:(Partition.trivial n) in
+  Alcotest.check partition_testable "ranked counting sort = seed" p_ref p_rnk;
+  Alcotest.(check bool) "counting sort fired" true (delta "refiner.counting_sort_passes" > 0);
+  Alcotest.(check bool) "counting-sorted passes <= interned passes" true
+    (delta "refiner.counting_sort_passes" <= delta "refiner.interned_passes")
 
-let test_run_dispatch () =
-  let edges = [ (0, 1); (1, 2); (3, 4); (4, 2) ] in
-  let n = 5 in
-  let initial = Partition.trivial n in
-  let p_gen = Refiner.run (Refiner.Spec (graph_spec edges n)) ~initial in
-  let p_int = Refiner.run (Refiner.Interned_spec (interned_graph_spec edges n)) ~initial in
-  Alcotest.check partition_testable "packed dispatch agrees" p_gen p_int;
-  let r = Mdl_sparse.Csr.of_triplets ~rows:3 ~cols:3 [ (0, 1, 2.0); (1, 2, 2.0) ] in
-  let p_f1 =
-    Refiner.run
-      (Refiner.Float_spec (Mdl_lumping.State_lumping.float_spec Ordinary r))
-      ~initial:(Partition.trivial 3)
-  in
-  let p_f2 =
-    Refiner.comp_lumping
-      (Mdl_lumping.State_lumping.refiner_spec Ordinary r)
-      ~initial:(Partition.trivial 3)
-  in
-  Alcotest.check partition_testable "float dispatch agrees" p_f2 p_f1
-
-(* ---- differential: in-place engine vs the preserved seed engine ---- *)
-
-module Refiner_reference = Mdl_partition.Refiner_reference
+(* ---- differential: production engines vs the preserved seed engine ---- *)
 
 let test_differential_oracle_chains () =
   (* Oracle-generated flat chains through the real float-keyed spec. *)
@@ -480,7 +392,7 @@ let test_differential_oracle_chains () =
       let r = Mdl_oracle.Gen_chain.rate_matrix (Mdl_util.Prng.of_seed seed) c in
       List.iter
         (fun mode ->
-          let spec = Mdl_lumping.State_lumping.refiner_spec mode r in
+          let spec = Refine_oracle.state_spec mode r in
           let initial =
             match mode with
             | Mdl_lumping.State_lumping.Ordinary -> Partition.trivial states
@@ -489,20 +401,16 @@ let test_differential_oracle_chains () =
                   (fun s -> Mdl_util.Floatx.quantize (Mdl_sparse.Csr.row_sum r s))
                   Float.compare
           in
-          let p_ref = Refiner_reference.comp_lumping spec ~initial in
-          let p_new = Refiner.comp_lumping spec ~initial in
+          let p_ref = Refine_oracle.comp_lumping spec ~initial in
           let p_flt =
             Refiner.comp_lumping_float
               (Mdl_lumping.State_lumping.float_spec mode r)
               ~initial
           in
           Alcotest.check partition_testable
-            (Printf.sprintf "chain n=%d seed=%d same fixed point" states seed)
-            p_ref p_new;
-          Alcotest.check partition_testable
             (Printf.sprintf "chain n=%d seed=%d float pipeline agrees" states seed)
             p_ref p_flt;
-          Alcotest.(check bool) "stable" true (Refiner.is_stable spec p_new))
+          Alcotest.(check bool) "stable" true (Refine_oracle.is_stable spec p_flt))
         [ Mdl_lumping.State_lumping.Ordinary; Mdl_lumping.State_lumping.Exact ])
     [ (20, 40, true, 3); (40, 120, true, 17); (60, 200, false, 23); (80, 0, true, 5) ]
 
@@ -546,37 +454,27 @@ let qcheck_differential =
       arb_graph (fun (n, edges) ->
         let spec = graph_spec edges n in
         let initial = Partition.group_by n (fun i -> i mod 3) compare in
-        let p_ref = Refiner_reference.comp_lumping spec ~initial in
-        let p_new = Refiner.comp_lumping spec ~initial in
-        Partition.equal p_ref p_new
-        && Refiner.is_stable spec p_new
-        && Partition.is_refinement_of p_new initial);
-    Test.make ~count:300 ~name:"interned pipeline matches generic on random graphs"
+        let p_ref = Refine_oracle.comp_lumping spec ~initial in
+        let p_flt = Refiner.comp_lumping_float (float_graph_spec edges n) ~initial in
+        Partition.equal p_ref p_flt
+        && Refine_oracle.is_stable spec p_flt
+        && Partition.is_refinement_of p_flt initial);
+    Test.make ~count:300 ~name:"ranked pipeline matches seed engine on random graphs"
       arb_graph (fun (n, edges) ->
         let initial = Partition.group_by n (fun i -> i mod 3) compare in
-        let p_gen = Refiner.comp_lumping (graph_spec edges n) ~initial in
-        let p_int = Refiner.comp_lumping_interned (interned_graph_spec edges n) ~initial in
-        Partition.equal p_gen p_int);
-    Test.make ~count:300 ~name:"ranked pipeline matches generic on random graphs"
-      arb_graph (fun (n, edges) ->
-        let initial = Partition.group_by n (fun i -> i mod 3) compare in
-        let p_gen = Refiner.comp_lumping (graph_spec edges n) ~initial in
-        let p_rnk = Refiner.comp_lumping_ranked (ranked_graph_spec edges n) ~initial in
-        Partition.equal p_gen p_rnk);
+        let p_ref = Refine_oracle.comp_lumping (graph_spec edges n) ~initial in
+        let p_rnk = ranked edges n ~initial in
+        Partition.equal p_ref p_rnk);
     Test.make ~count:300
-      ~name:"float pipeline matches generic and seed engines on random flat specs"
+      ~name:"float pipeline matches the seed engine on random flat specs"
       arb_weighted (fun (n, triplets) ->
         let r = Mdl_sparse.Csr.of_triplets ~rows:n ~cols:n triplets in
         let initial = Partition.group_by n (fun i -> i mod 3) compare in
         List.for_all
           (fun mode ->
-            let spec = Mdl_lumping.State_lumping.refiner_spec mode r in
-            let p_ref = Refiner_reference.comp_lumping spec ~initial in
-            let p_gen =
-              Mdl_lumping.State_lumping.coarsest ~generic:true mode r ~initial
-            in
+            let p_ref = Refine_oracle.comp_lumping (Refine_oracle.state_spec mode r) ~initial in
             let p_flt = Mdl_lumping.State_lumping.coarsest mode r ~initial in
-            Partition.equal p_ref p_gen && Partition.equal p_gen p_flt)
+            Partition.equal p_ref p_flt)
           [ Mdl_lumping.State_lumping.Ordinary; Mdl_lumping.State_lumping.Exact ]);
   ]
 
@@ -623,10 +521,10 @@ let qcheck_tests =
           (Partition.classes p));
     Test.make ~count:200 ~name:"refiner output refines initial and is stable" arb_graph
       (fun (n, edges) ->
-        let spec = graph_spec edges n in
         let initial = Partition.group_by n (fun i -> i mod 2) compare in
-        let result = Refiner.comp_lumping spec ~initial in
-        Partition.is_refinement_of result initial && Refiner.is_stable spec result);
+        let result = ranked edges n ~initial in
+        Partition.is_refinement_of result initial
+        && Refine_oracle.is_stable (graph_spec edges n) result);
   ]
 
 let tests =
@@ -650,14 +548,11 @@ let tests =
     Alcotest.test_case "stats: all-discrete initial" `Quick test_stats_all_discrete;
     Alcotest.test_case "stats: one giant class" `Quick test_stats_giant_class;
     Alcotest.test_case "stats: singletons + large class" `Quick test_stats_singleton_mixed;
-    Alcotest.test_case "stats: add_stats" `Quick test_add_stats;
     Alcotest.test_case "counting-sort threshold" `Quick test_use_counting_sort_threshold;
     Alcotest.test_case "counting-sort pipeline" `Quick test_counting_sort_pipeline;
     Alcotest.test_case "per-pipeline counters" `Quick test_pipeline_counters;
-    Alcotest.test_case "intern table reuse" `Quick test_intern_table_reuse;
     Alcotest.test_case "ranked pipeline" `Quick test_ranked_pipeline;
     Alcotest.test_case "ranked counting sort" `Quick test_ranked_counting_sort;
-    Alcotest.test_case "run dispatch" `Quick test_run_dispatch;
     Alcotest.test_case "differential: oracle chains" `Quick test_differential_oracle_chains;
   ]
   @ List.map QCheck_alcotest.to_alcotest (qcheck_tests @ qcheck_differential)

@@ -44,6 +44,19 @@ let pools =
 
 let pool d = List.assoc d (Lazy.force pools)
 
+(* The registry counters a parallel lump must reproduce exactly. *)
+let counters =
+  [
+    "refiner.splitter_passes";
+    "refiner.key_evals";
+    "refiner.splits";
+    "refiner.blocks_created";
+    "key_cache.hits";
+    "key_cache.misses";
+    "rebuild.nodes_rebuilt";
+    "rebuild.nodes_reused";
+  ]
+
 (* ----- differential lump properties ----- *)
 
 (* The oracle's model setup (protected last-level reward for ordinary
@@ -63,21 +76,11 @@ let lump_inputs mode md =
 
 let lump_with ?pool ?par_threshold mode md =
   let rewards, initial = lump_inputs mode md in
-  let stats = Refiner.create_stats () in
-  let r = Compositional.lump ~stats ?pool ?par_threshold mode md ~rewards ~initial in
-  (r, stats)
-
-let counters s =
-  [
-    ("splitter_passes", s.Refiner.splitter_passes);
-    ("key_evals", s.Refiner.key_evals);
-    ("splits", s.Refiner.splits);
-    ("blocks_created", s.Refiner.blocks_created);
-    ("cache_hits", s.Refiner.cache_hits);
-    ("cache_misses", s.Refiner.cache_misses);
-    ("nodes_rebuilt", s.Refiner.nodes_rebuilt);
-    ("nodes_reused", s.Refiner.nodes_reused);
-  ]
+  let r, delta =
+    Counters.deltas (fun () ->
+        Compositional.lump ?pool ?par_threshold mode md ~rewards ~initial)
+  in
+  (r, List.map (fun n -> (n, delta n)) counters)
 
 let differential_lump mode spec =
   let md = Gen_md.of_spec spec in
@@ -101,7 +104,7 @@ let differential_lump mode spec =
         (fun (name, seq) (_, par) ->
           if seq <> par then
             QCheck.Test.fail_reportf "%d domains: %s %d, sequential %d" d name par seq)
-        (counters s_seq) (counters s_par))
+        s_seq s_par)
     pool_sizes;
   true
 
@@ -226,7 +229,7 @@ let test_trace_fallback_identical () =
     (Md.equal r_seq.Compositional.lumped r_tr.Compositional.lumped);
   List.iter2
     (fun (name, a) (_, b) -> Alcotest.(check int) name a b)
-    (counters s_seq) (counters s_tr)
+    s_seq s_tr
 
 (* ----- Domain_pool ----- *)
 
@@ -457,8 +460,8 @@ let test_eval_keys_matches_splitter_keys () =
       List.iter
         (fun node ->
           let listed =
-            Local_key.splitter_keys ctx Local_key.Formal_sums State_lumping.Ordinary
-              node slice
+            Mdl_oracle.Refine_oracle.splitter_keys ctx Local_key.Formal_sums
+              State_lumping.Ordinary node slice
           in
           let states, keys =
             Local_key.eval_keys ~pool:p ~par_threshold:1 ctx Local_key.Formal_sums
